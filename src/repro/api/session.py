@@ -30,6 +30,7 @@ import time
 import uuid
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.db import algebra
@@ -41,7 +42,7 @@ from repro.db.params import (
     expression_parameters, plan_parameters,
 )
 from repro.db.optimizer import optimize_plan
-from repro.db.relation import KRelation, Row, _row_sort_key
+from repro.db.relation import KRelation, Row, _row_sort_key, render_table
 from repro.db.schema import (
     Attribute, DataType, DatabaseSchema, RelationSchema, SchemaError,
 )
@@ -57,7 +58,9 @@ from repro.core.attribute_bounds import (
     encode_attribute_relation, is_attribute_encoded,
 )
 from repro.core.attribute_rewriter import rewrite_attribute_plan
-from repro.core.encoding import decode_relation, encode_relation
+from repro.core.encoding import (
+    decode_relation, decoded_schema, encode_relation, labeled_rows,
+)
 from repro.core.rewriter import rewrite_plan
 from repro.core.uadb import UADatabase, UARelation
 from repro.extensions.attribute_level import AttributeLabel
@@ -106,59 +109,75 @@ SQL_TYPES: Dict[str, DataType] = {
 _EMPTY_ENV = RowEnvironment((), ())
 
 
-
-
 @dataclass
 class UAQueryResult:
-    """Result of a UA-DB query: rows paired with certainty information."""
+    """Result of a UA-DB query: a labelled view over the answer.
 
+    The row accessors all read one sorted list of ``(row, certain?)``
+    pairs, built on first use by one pass over the answer and one sort.
+    """
+
+    #: The answer as a K_UA-relation (``[certain, best-guess]`` pairs).
     relation: UARelation
     #: Wall-clock evaluation time in seconds (binding + execution; includes
     #: compilation only when the statement was not already cached).
     elapsed: float = 0.0
 
-    def rows(self) -> List[Row]:
-        """All result rows (the best-guess-world answer)."""
-        return self.relation.to_rows()
+    @property
+    def schema(self) -> RelationSchema:
+        """Schema of the answer."""
+        return self.relation.schema
 
-    def certain_rows(self) -> List[Row]:
-        """Rows labeled certain (the under-approximation)."""
-        return self.relation.certain_rows()
-
-    def uncertain_rows(self) -> List[Row]:
-        """Rows not labeled certain."""
-        return self.relation.uncertain_rows()
+    @cached_property
+    def _pairs(self) -> List[Tuple[Row, bool]]:
+        return self.relation.labeled_rows()
 
     def labeled_rows(self) -> List[Tuple[Row, bool]]:
         """``(row, certain?)`` pairs, sorted for stable output."""
-        pairs = [(row, self.relation.is_certain(row))
-                 for row in self.relation.to_rows()]
-        pairs.sort(key=lambda pair: _row_sort_key(pair[0]))
-        return pairs
+        return list(self._pairs)
+
+    def rows(self) -> List[Row]:
+        """All result rows (the best-guess-world answer), sorted."""
+        return [row for row, _ in self._pairs]
+
+    def certain_rows(self) -> List[Row]:
+        """Rows labeled certain (the under-approximation), sorted."""
+        return [row for row, certain in self._pairs if certain]
+
+    def uncertain_rows(self) -> List[Row]:
+        """Rows not labeled certain, sorted."""
+        return [row for row, certain in self._pairs if not certain]
 
     def __len__(self) -> int:
-        return len(self.relation)
+        return len(self._pairs)
 
     def pretty(self, limit: int = 20) -> str:
         """Human-readable rendering with a Certain? column."""
-        header = list(self.relation.schema.attribute_names) + ["Certain?"]
-        rows = [
-            [repr(value) for value in row] + [str(certain).lower()]
-            for row, certain in self.labeled_rows()
-        ]
-        shown = rows[:limit]
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in shown)) if shown else len(header[i])
-            for i in range(len(header))
-        ]
-        lines = [
-            " | ".join(h.ljust(w) for h, w in zip(header, widths)),
-            "-+-".join("-" * w for w in widths),
-        ]
-        lines.extend(" | ".join(v.ljust(w) for v, w in zip(r, widths)) for r in shown)
-        if len(rows) > limit:
-            lines.append(f"... ({len(rows) - limit} more rows)")
-        return "\n".join(lines)
+        header = list(self.schema.attribute_names) + ["Certain?"]
+        rows = [[repr(value) for value in row] + [str(certain).lower()]
+                for row, certain in self._pairs]
+        return render_table(header, rows, limit)
+
+
+class _EncodedResult(UAQueryResult):
+    """The result of a rewritten plan, read off its ``Enc``-encoded answer:
+    :attr:`relation` is decoded only when the K_UA annotations are asked for."""
+
+    def __init__(self, encoded: KRelation, elapsed: float = 0.0) -> None:
+        self._encoded = encoded
+        self.elapsed = elapsed
+
+    @cached_property
+    def schema(self) -> RelationSchema:
+        return decoded_schema(self._encoded.schema)
+
+    @cached_property
+    def relation(self) -> UARelation:
+        return decode_relation(self._encoded)
+
+    @cached_property
+    def _pairs(self) -> List[Tuple[Row, bool]]:
+        return labeled_rows(self._encoded)
 
 
 @dataclass
@@ -177,6 +196,11 @@ class AttributeQueryResult:
     #: Wall-clock evaluation time in seconds (binding + execution; includes
     #: compilation only when the statement was not already cached).
     elapsed: float = 0.0
+
+    @property
+    def schema(self) -> RelationSchema:
+        """Schema of the answer (one attribute per result column)."""
+        return self.relation.schema
 
     def rows(self) -> List[Row]:
         """Distinct best-guess rows (the best-guess-world answer)."""
@@ -814,17 +838,27 @@ class Connection:
                 return AttributeQueryResult(bounds,
                                             time.perf_counter() - started)
             if entry.mode == "rewritten":
-                encoded_result = evaluate(entry.plan, self.encoded, engine=self.engine,
-                                          optimize=False, params=params)
-                relation = decode_relation(encoded_result, self.uadb.ua_semiring)
-            else:
-                result = evaluate(entry.plan, self.uadb.database, engine=self.engine,
-                                  optimize=False, params=params)
-                relation = UARelation._from_validated(
-                    result.schema, self.uadb.ua_semiring, dict(result.items())
-                )
+                encoded = self._evaluate_encoded(entry.plan, False, params)
+                return _EncodedResult(encoded, time.perf_counter() - started)
+            result = evaluate(entry.plan, self.uadb.database, engine=self.engine,
+                              optimize=False, params=params)
+            relation = UARelation._from_validated(
+                result.schema, self.uadb.ua_semiring, dict(result.items())
+            )
         elapsed = time.perf_counter() - started
         return UAQueryResult(relation, elapsed)
+
+    def _evaluate_encoded(self, plan: algebra.Operator, optimize: bool,
+                          params: Params) -> KRelation:
+        """Evaluate a rewritten plan (the caller holds the read lock) into an
+        answer that a result may label and decode after the lock is gone."""
+        answer = evaluate(plan, self.encoded, engine=self.engine,
+                          optimize=optimize, params=params)
+        # A bare table reference evaluates to the stored relation itself (row
+        # engine); the result must keep a snapshot, not the live table.
+        if any(answer is stored for stored in self.encoded):
+            answer = answer.copy()
+        return answer
 
     def _run_create(self, statement: CreateTableStatement) -> None:
         attributes = []
@@ -1207,11 +1241,8 @@ class Connection:
         started = time.perf_counter()
         with self._locking.read():
             rewritten = rewrite_plan(plan, self.encoded_catalog)
-            encoded_result = evaluate(rewritten, self.encoded, engine=self.engine,
-                                      optimize=self.optimize, params=params)
-            relation = decode_relation(encoded_result, self.uadb.ua_semiring)
-        elapsed = time.perf_counter() - started
-        return UAQueryResult(relation, elapsed)
+            encoded = self._evaluate_encoded(rewritten, self.optimize, params)
+        return _EncodedResult(encoded, time.perf_counter() - started)
 
     def query_deterministic(self, sql: str,
                             params: Params = None) -> Tuple[KRelation, float]:
@@ -1321,7 +1352,7 @@ class Cursor:
         self._rowcount = len(self._rows)
         self._description = [
             (attribute.name, attribute.data_type, None, None, None, None, None)
-            for attribute in result.relation.schema.attributes
+            for attribute in result.schema.attributes
         ]
 
     # -- fetching -----------------------------------------------------------------

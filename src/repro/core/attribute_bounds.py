@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.db.relation import KRelation, Row, _row_sort_key
+from repro.db.relation import KRelation, Row, _row_sort_key, render_table
 from repro.db.schema import Attribute, DataType, RelationSchema
 from repro.semirings import NATURAL, Semiring
 
@@ -294,20 +294,7 @@ class AttributeBoundsRelation:
             cells = [_format_range(r) for r in ranges]
             cells.append(_format_triple(multiplicity))
             rows.append(cells)
-        shown = rows[:limit]
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in shown)) if shown else len(header[i])
-            for i in range(len(header))
-        ]
-        lines = [
-            " | ".join(h.ljust(w) for h, w in zip(header, widths)),
-            "-+-".join("-" * w for w in widths),
-        ]
-        for row in shown:
-            lines.append(" | ".join(v.ljust(w) for v, w in zip(row, widths)))
-        if len(rows) > limit:
-            lines.append(f"... ({len(rows) - limit} more fragments)")
-        return "\n".join(lines)
+        return render_table(header, rows, limit, unit="fragments")
 
 
 def _format_range(bounds: Range) -> str:

@@ -15,10 +15,10 @@ boolean (set) variant is provided as well.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.db.database import Database
-from repro.db.relation import KRelation
+from repro.db.relation import KRelation, Row, _row_sort_key
 from repro.db.schema import Attribute, DataType, RelationSchema
 from repro.semirings import BOOLEAN, NATURAL, Semiring
 from repro.semirings.ua import UAAnnotation, UASemiring
@@ -48,7 +48,7 @@ def _encoded_schema(schema: RelationSchema) -> RelationSchema:
     )
 
 
-def _decoded_schema(schema: RelationSchema) -> RelationSchema:
+def decoded_schema(schema: RelationSchema) -> RelationSchema:
     """Remove the certainty attribute (it must be the last column)."""
     names = [a.name for a in schema.attributes]
     if not names or names[-1].split(".")[-1].lower() != CERTAINTY_COLUMN.lower():
@@ -82,7 +82,7 @@ def decode_relation(relation: KRelation,
     """``Enc⁻¹``: recover a UA-relation from its encoded form."""
     base = relation.semiring
     ua_semiring = ua_semiring or UASemiring(base)
-    schema = _decoded_schema(relation.schema)
+    schema = decoded_schema(relation.schema)
     # Group by the projected row: certain = annotation of (t, 1),
     # determinized = annotation of (t, 0) + annotation of (t, 1).
     certain_parts: dict = {}
@@ -97,8 +97,7 @@ def decode_relation(relation: KRelation,
     # The rows come out of an engine result (already schema-validated) and
     # ``certain <= certain + uncertain`` holds by construction, so the pairs
     # are assembled directly instead of per-row re-validation through
-    # ``set_annotation`` / ``UASemiring.annotation`` -- decoding is on the
-    # per-query hot path of every rewritten-mode execution.
+    # ``set_annotation`` / ``UASemiring.annotation``.
     data: dict = {}
     for key in certain_parts.keys() | uncertain_parts.keys():
         certain = certain_parts.get(key, zero)
@@ -108,6 +107,26 @@ def decode_relation(relation: KRelation,
             continue
         data[key] = UAAnnotation(certain, determinized)
     return UARelation._from_validated(schema, ua_semiring, data)
+
+
+def labeled_rows(encoded: KRelation) -> List[Tuple[Row, bool]]:
+    """Sorted ``(row, certain?)`` pairs of an encoded answer, in one pass.
+
+    Reads what :func:`decode_relation` reads without building annotations:
+    ``t`` is present iff one of its fragments has a non-zero annotation (a
+    sum in a semiring with a monus is zero only if every summand is) and
+    certain iff its ``(t, 1)`` fragment has.
+    """
+    is_zero = encoded.semiring.is_zero
+    labels: Dict[Row, bool] = {}
+    for row, annotation in encoded.items():
+        if is_zero(annotation):
+            continue
+        if row[-1] == 1:
+            labels[row[:-1]] = True
+        else:
+            labels.setdefault(row[:-1], False)
+    return [(row, labels[row]) for row in sorted(labels, key=_row_sort_key)]
 
 
 # ---------------------------------------------------------------------------

@@ -253,11 +253,8 @@ class _Rewriter:
         """Combine certainty columns of the inputs: ``min(C1, ..., Cn)``."""
         if not markers:
             return Literal(1)
-        columns: List[Expression] = [self._marker_column(m) for m in markers]
-        expression = columns[0]
-        for column in columns[1:]:
-            expression = FunctionCall("least", (expression, column))
-        return expression
+        columns = tuple(self._marker_column(m) for m in markers)
+        return columns[0] if len(columns) == 1 else FunctionCall("least", columns)
 
     @staticmethod
     def _marker_column(marker: str) -> Column:

@@ -96,11 +96,21 @@ class UARelation(KRelation):
 
     def certain_rows(self) -> List[Row]:
         """Rows labeled as certain."""
-        return [row for row in self.rows() if self.is_certain(row)]
+        is_zero = self.base_semiring.is_zero
+        return [row for row, annotation in self.items()
+                if not is_zero(annotation.certain)]
 
     def uncertain_rows(self) -> List[Row]:
         """Rows present in the best-guess world but not labeled certain."""
-        return [row for row in self.rows() if not self.is_certain(row)]
+        is_zero = self.base_semiring.is_zero
+        return [row for row, annotation in self.items()
+                if is_zero(annotation.certain)]
+
+    def labeled_rows(self) -> List[Tuple[Row, bool]]:
+        """``(row, certain?)`` pairs, sorted for stable output."""
+        is_zero = self.base_semiring.is_zero
+        data = self._data
+        return [(row, not is_zero(data[row].certain)) for row in self.to_rows()]
 
     def best_guess_relation(self) -> KRelation:
         """The best-guess world component as a plain K-relation (``h_det``)."""

@@ -16,7 +16,7 @@ places where SQLite's defaults differ are compiled around explicitly:
   typed scope skip the runtime check entirely,
 * ``least`` / ``greatest`` ignore NULL arguments (SQLite's scalar
   ``MIN``/``MAX`` return NULL if *any* argument is NULL), compiled as
-  ``MIN(COALESCE(a, b), COALESCE(b, a))`` folded pairwise,
+  ``MIN(COALESCE(a, b, c), COALESCE(b, a, c), COALESCE(c, a, b))``,
 * ``LIKE`` relies on ``PRAGMA case_sensitive_like = ON`` (set by the
   engine's connection setup) to match the evaluator's case-sensitive regex.
 
@@ -110,14 +110,21 @@ class ColumnRef(NamedTuple):
 _NUMERIC_TYPES = (DataType.INTEGER, DataType.FLOAT, DataType.BOOLEAN)
 
 
-def _pairwise_extremum(func: str, parts: List[str]) -> str:
-    """Fold ``least``/``greatest`` semantics (NULLs ignored) over ``parts``."""
+def _extremum(func: str, parts: List[str]) -> str:
+    """``least``/``greatest`` (NULLs ignored) over ``parts``, nest-free.
+
+    Each operand of SQLite's scalar ``MIN``/``MAX`` is one part falling back
+    to the others when NULL, so the text is quadratic in the number of
+    parts (wide joins put one certainty column per input here).
+    """
     if not parts:
         return "NULL"
-    result = parts[0]
-    for part in parts[1:]:
-        result = f"{func}(COALESCE({result}, {part}), COALESCE({part}, {result}))"
-    return result
+    if len(parts) == 1:
+        return parts[0]
+    operands = (
+        f"COALESCE({', '.join([part] + parts[:i] + parts[i + 1:])})"
+        for i, part in enumerate(parts))
+    return f"{func}({', '.join(operands)})"
 
 
 class ExpressionCompiler:
@@ -329,9 +336,9 @@ class ExpressionCompiler:
                 return args[0]
             return f"COALESCE({', '.join(args)})"
         if name == "least":
-            return _pairwise_extremum("MIN", args)
+            return _extremum("MIN", args)
         if name == "greatest":
-            return _pairwise_extremum("MAX", args)
+            return _extremum("MAX", args)
         raise NotSupportedError(
             f"scalar function {expr.name!r} has no faithful SQLite translation"
         )

@@ -201,20 +201,25 @@ class KRelation:
             [repr(v) for v in row] + [repr(annotation)]
             for row, annotation in sorted(self.items(), key=lambda kv: _row_sort_key(kv[0]))
         ]
-        shown = rows[:limit]
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in shown)) if shown else len(header[i])
-            for i in range(len(header))
-        ]
-        lines = [
-            " | ".join(h.ljust(w) for h, w in zip(header, widths)),
-            "-+-".join("-" * w for w in widths),
-        ]
-        for row in shown:
-            lines.append(" | ".join(v.ljust(w) for v, w in zip(row, widths)))
-        if len(rows) > limit:
-            lines.append(f"... ({len(rows) - limit} more rows)")
-        return "\n".join(lines)
+        return render_table(header, rows, limit)
+
+
+def render_table(header: List[str], rows: List[List[str]], limit: int,
+                 unit: str = "rows") -> str:
+    """Fixed-width text table of the first ``limit`` of ``rows``."""
+    shown = rows[:limit]
+    widths = [
+        max(len(header[i]), *(len(r[i]) for r in shown)) if shown else len(header[i])
+        for i in range(len(header))
+    ]
+    lines = [
+        " | ".join(h.ljust(w) for h, w in zip(header, widths)),
+        "-+-".join("-" * w for w in widths),
+    ]
+    lines.extend(" | ".join(v.ljust(w) for v, w in zip(r, widths)) for r in shown)
+    if len(rows) > limit:
+        lines.append(f"... ({len(rows) - limit} more {unit})")
+    return "\n".join(lines)
 
 
 def _row_sort_key(row: Row) -> Tuple:

@@ -539,13 +539,12 @@ class UADBServer:
                 result = conn.query(sql, params)
             else:
                 result = conn.query_direct(sql, params)
-            relation = result.relation
-            columns = [attribute.name
-                       for attribute in relation.schema.attributes]
-            types = [attribute.data_type.name.lower()
-                     for attribute in relation.schema.attributes]
-            rows = result.rows()
-            certain = [relation.is_certain(row) for row in rows]
+            attributes = result.schema.attributes
+            columns = [attribute.name for attribute in attributes]
+            types = [attribute.data_type.name.lower() for attribute in attributes]
+            pairs = result.labeled_rows()
+            rows = [row for row, _ in pairs]
+            certain = [flag for _, flag in pairs]
             return columns, types, rows, certain, None, result.elapsed
 
     @staticmethod

@@ -96,6 +96,22 @@ def test_sql_corpus_three_engine_equivalence(store, sql):
     _assert_all_engines_agree(plan, store)
 
 
+def test_nary_least_greatest_ignore_nulls_on_every_engine():
+    db = Database(NATURAL, "extrema")
+    db.add_relation(bag_relation(
+        RelationSchema("t", [Attribute(name, DataType.INTEGER) for name in "abc"]),
+        [(1, 2, 3), (None, 5, 4), (7, None, None), (None, None, None),
+         (2, None, 1), (3, 3, None)],
+    ))
+    plan = parse_query(
+        "SELECT least(a, b, c) AS low, greatest(a, b, c) AS high, "
+        "least(a) AS one FROM t", db.schema)
+    result = _assert_all_engines_agree(plan, db)
+    assert sorted(result.rows(), key=repr) == sorted(
+        [(1, 3, 1), (4, 5, None), (7, 7, 7), (None, None, None),
+         (1, 2, 2), (3, 3, 3)], key=repr)
+
+
 def test_set_semantics_three_engine_equivalence():
     db = Database(BOOLEAN, "sets")
     db.add_relation(set_relation(

@@ -317,6 +317,36 @@ def test_insert_through_session_reloads_sqlite_tables():
     assert conn.query("SELECT a FROM t").rows() == [(1,), (2,)]
 
 
+def _wide_join(width: int) -> str:
+    tables = [f"t{i}" for i in range(width)]
+    return (f"SELECT t0.k, {', '.join(f'v{i}' for i in range(width))} "
+            f"FROM {', '.join(tables)} WHERE "
+            + " AND ".join(f"t0.k = {table}.k" for table in tables[1:]))
+
+
+def test_wide_join_certainty_column_stays_on_sqlite():
+    """``min(C1..Cn)`` is one n-ary ``least``: its SQL is quadratic in the
+    join width, where a pairwise fold doubled per input and overflowed
+    SQLite's parser stack at ten inputs."""
+    sessions = []
+    for name in ("sqlite", "row"):
+        conn = repro.connect(engine=name, name=f"wide-{name}")
+        for i in range(12):
+            conn.execute(f"CREATE TABLE t{i} (k INT, v{i} INT)")
+            conn.executemany(f"INSERT INTO t{i} VALUES (?, ?)",
+                             [(k, k * i) for k in range(20)])
+        sessions.append(conn)
+    conn, reference = sessions
+    narrow, wide = conn.backend_sql(_wide_join(4)), conn.backend_sql(_wide_join(12))
+    assert len(wide) <= 9 * len(narrow)
+    engine = get_engine("sqlite")
+    fallbacks = engine.stats()["fallbacks"]
+    result = conn.query(_wide_join(12))
+    assert engine.stats()["fallbacks"] == fallbacks
+    assert len(result) == 20
+    assert result.labeled_rows() == reference.query(_wide_join(12)).labeled_rows()
+
+
 # -- review regressions -----------------------------------------------------------
 
 
