@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.bestguess import best_guess_world_xdb, random_guess_world_xdb
 from repro.core.labeling import label_ctable
-from repro.experiments.pdbench_harness import build_frontend
+from repro.experiments.pdbench_harness import build_connection
 from repro.workloads.ctable_gen import generate_random_ctable
 from repro.workloads.pdbench import generate_pdbench
 from repro.workloads.tpch_queries import pdbench_query
@@ -25,7 +25,7 @@ from repro.workloads.tpch_queries import pdbench_query
 
 @pytest.fixture(scope="module")
 def ablation_frontend(pdbench_low_uncertainty):
-    return build_frontend(pdbench_low_uncertainty)
+    return build_connection(pdbench_low_uncertainty)
 
 
 def test_ablation_rewritten_query(benchmark, ablation_frontend):

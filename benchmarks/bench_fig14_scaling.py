@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import fig14
-from repro.experiments.pdbench_harness import build_frontend
+from repro.experiments.pdbench_harness import build_connection
 from repro.workloads.pdbench import generate_pdbench
 from repro.workloads.tpch_queries import pdbench_query
 
@@ -17,7 +17,7 @@ def scaled_frontends():
     frontends = {}
     for scale in SCALES:
         instance = generate_pdbench(scale_factor=scale, uncertainty=0.02, seed=7)
-        frontends[scale] = (instance, build_frontend(instance))
+        frontends[scale] = (instance, build_connection(instance))
     return frontends
 
 

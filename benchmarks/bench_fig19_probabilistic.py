@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.baselines.maybms import MayBMSDatabase
-from repro.core.frontend import UADBFrontend
 from repro.db.sql import parse_query
 from repro.experiments import fig19
 from repro.semirings import NATURAL
@@ -18,9 +18,10 @@ BLOCK_SIZES = (2, 5, 10, 20)
 def bidb_frontends(bidb_instances):
     frontends = {}
     for size, instance in bidb_instances.items():
-        frontend = UADBFrontend(NATURAL, f"bidb{size}")
-        frontend.register_xdb(instance.xdb)
-        frontends[size] = frontend
+        # cache_size=0: the timed query() keeps paying parse/rewrite/optimize.
+        conn = repro.connect(NATURAL, f"bidb{size}", cache_size=0)
+        conn.register_xdb(instance.xdb)
+        frontends[size] = conn
     return frontends
 
 

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.db.engine import ENGINE_ENV_VAR, available_engines
-from repro.experiments.pdbench_harness import build_frontend
+from repro.experiments.pdbench_harness import build_connection
 from repro.workloads.pdbench import generate_pdbench
 from repro.workloads.real_queries import generate_city_database
 from repro.workloads.bidb import generate_bidb
@@ -50,8 +50,8 @@ def pdbench_high_uncertainty():
 def pdbench_frontends(pdbench_low_uncertainty, pdbench_high_uncertainty, engine_name):
     """UA-DB front-ends registered for both uncertainty levels."""
     return {
-        0.02: build_frontend(pdbench_low_uncertainty, engine=engine_name),
-        0.30: build_frontend(pdbench_high_uncertainty, engine=engine_name),
+        0.02: build_connection(pdbench_low_uncertainty, engine=engine_name),
+        0.30: build_connection(pdbench_high_uncertainty, engine=engine_name),
     }
 
 

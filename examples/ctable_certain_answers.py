@@ -13,8 +13,8 @@ Run with::
 
 from __future__ import annotations
 
+import repro
 from repro.baselines.ctables_exact import CTableQueryEvaluator
-from repro.core import UADBFrontend
 from repro.db.sql import parse_query
 from repro.db.schema import RelationSchema
 from repro.incomplete import CTableDatabase, Variable
@@ -55,14 +55,14 @@ def main() -> None:
     database = build_inventory_ctable()
 
     # UA-DB path: best-guess world + c-sound labeling, then ordinary SQL.
-    frontend = UADBFrontend(NATURAL, "inventory")
-    frontend.register_ctable(database)
-    ua_result = frontend.query(QUERY)
+    conn = repro.connect(NATURAL, "inventory")
+    conn.register_ctable(database)
+    ua_result = conn.query(QUERY)
     print("UA-DB answer (lightweight, PTIME labels):\n")
     print(ua_result.pretty())
 
     # Exact path: symbolic evaluation + tautology checking per result tuple.
-    plan = parse_query(QUERY, frontend.uadb.best_guess_database().schema)
+    plan = parse_query(QUERY, conn.uadb.best_guess_database().schema)
     evaluator = CTableQueryEvaluator(database)
     exact, elapsed = evaluator.certain_answers(plan)
     print(f"\nExact certain answers (symbolic evaluation, {elapsed * 1000:.1f} ms):")

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import random
 
+import repro
 from repro.baselines.libkin import libkin_certain_answers
-from repro.core import UADBFrontend
 from repro.db.database import Database
 from repro.db.relation import bag_relation
 from repro.db.schema import Attribute, DataType, RelationSchema
@@ -73,9 +73,9 @@ def main() -> None:
             relation.add_alternatives(options)
 
     # 2. Query through the UA-DB front-end.
-    frontend = UADBFrontend(NATURAL, "survey")
-    frontend.register_xdb(xdb)
-    ua_result = frontend.query(QUERY)
+    conn = repro.connect(NATURAL, "survey")
+    conn.register_xdb(xdb)
+    ua_result = conn.query(QUERY)
     print("Sample of the UA-DB answer:\n")
     print(ua_result.pretty(limit=10))
 

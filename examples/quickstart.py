@@ -13,7 +13,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import UADBFrontend
+import repro
 from repro.db.schema import RelationSchema
 from repro.incomplete import XDatabase
 from repro.semirings import NATURAL
@@ -48,17 +48,17 @@ def build_geocoding_xdb() -> XDatabase:
 def main() -> None:
     xdb = build_geocoding_xdb()
 
-    # Register the uncertain source: the front-end extracts the best-guess
+    # Register the uncertain source: the connection extracts the best-guess
     # world and the c-correct x-DB labeling, then encodes both for querying.
-    frontend = UADBFrontend(NATURAL, "geo")
-    frontend.register_xdb(xdb)
+    conn = repro.connect(NATURAL, "geo")
+    conn.register_xdb(xdb)
 
     query = """
         SELECT a.id, l.locale, l.state
         FROM ADDR a, LOC l
         WHERE contains(l.rect, a.geocoded)
     """
-    result = frontend.query(query)
+    result = conn.query(query)
 
     print("UA-DB answer (best-guess rows, certain answers marked):\n")
     print(result.pretty())
@@ -66,7 +66,7 @@ def main() -> None:
     print(f"{len(result.certain_rows())} of {len(result)} answers are certain.")
 
     # The same query, answered deterministically over the best-guess world:
-    deterministic, elapsed = frontend.query_deterministic(query)
+    deterministic, elapsed = conn.query_deterministic(query)
     print(f"\nDeterministic (BGQP) returns {len(deterministic)} rows "
           f"in {elapsed * 1000:.1f} ms -- the same rows, but without any "
           "indication of which ones can be trusted.")

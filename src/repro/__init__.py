@@ -5,7 +5,7 @@ The package is organized bottom-up:
 * :mod:`repro.semirings` -- commutative semirings and annotation algebra,
 * :mod:`repro.db`        -- the in-memory relational engine and SQL front-end,
 * :mod:`repro.incomplete` -- incomplete / probabilistic data models,
-* :mod:`repro.core`      -- UA-DBs: labelings, encodings, rewriting, front-end,
+* :mod:`repro.core`      -- UA-DBs: labelings, encodings, rewriting,
 * :mod:`repro.api`       -- the DB-API-style session layer behind
   :func:`repro.connect`: connections, cursors, parameterized queries, the
   prepared-plan cache, the persistent ``.uadb`` store and the connection
@@ -23,9 +23,7 @@ The package is organized bottom-up:
 
 __version__ = "1.3.0"
 
-from repro.core import (
-    AttributeBoundsRelation, RangeError, UADatabase, UADBFrontend, UARelation,
-)
+from repro.core import AttributeBoundsRelation, RangeError, UADatabase, UARelation
 from repro.api import (
     AttributeQueryResult,
     Connection,
@@ -48,7 +46,6 @@ __all__ = [
     "RangeError",
     "StoreError",
     "UADatabase",
-    "UADBFrontend",
     "UADBStore",
     "UAQueryResult",
     "UARelation",

@@ -11,8 +11,8 @@ invalidates every plan compiled before it.
 
 Entries additionally carry the *statistics version* they were optimized
 under.  The cost-based optimizer bakes table statistics into the cached
-plan (join order, chosen engine), so a bulk ``INSERT`` that shifts table
-sizes must invalidate it the same way DDL does; lookups that pass a
+plan (its join order), so a bulk ``INSERT`` that shifts table sizes must
+invalidate it the same way DDL does; lookups that pass a
 ``stats_version`` treat a mismatch as a miss.
 """
 

@@ -378,13 +378,13 @@ class Connection:
             self.plan_cache = PlanCache(cache_size)
         self._local_catalog_version = 0
         self._local_stats_version = 0
-        #: Table statistics feeding the cost-based optimizer and the
-        #: ``auto`` engine; collected from the *encoded* relations (whose
-        #: columns are a superset of the logical ones), persisted in the
-        #: store's ``uadb_stats`` table when one is attached.
+        #: Table statistics feeding the cost-based optimizer; collected
+        #: from the *encoded* relations (whose columns are a superset of
+        #: the logical ones), persisted in the store's ``uadb_stats`` table
+        #: when one is attached.
         self.stats = StatsCatalog(self.store)
-        # Attach to both databases so evaluate()/engines can reach the
-        # statistics through ``database.stats``.
+        # Attach to both databases so evaluate() can reach the statistics
+        # through ``database.stats``.
         self.uadb.database.stats = self.stats
         self.encoded.stats = self.stats
         #: Natively registered attribute-level relations (logical form).
@@ -1016,31 +1016,14 @@ class Connection:
         from repro.db import cost
         from repro.db.engine import get_engine
 
-        if mode == "rewritten":
-            database = self.encoded
-        elif mode == "attribute":
-            database = self._attribute_database()
-        else:
-            database = self.uadb.database
-        resolved = get_engine(self.engine)
-        stats = self.stats
-        if resolved.name == "auto":
-            chosen, costs = resolved.choose(plan, database)
-        else:
-            chosen = resolved.name
-            costs = {name: cost.estimate_engine_cost(plan, name, stats)
-                     for name in cost.ENGINE_COSTS}
         plan_lines = [
             {"depth": depth, "operator": describe, "estimated_rows": rows}
-            for depth, describe, rows in cost.explain_rows(plan, stats)
+            for depth, describe, rows in cost.explain_rows(plan, self.stats)
         ]
         return {
             "mode": mode,
-            "engine": resolved.name,
-            "chosen_engine": chosen,
+            "engine": get_engine(self.engine).name,
             "estimated_rows": plan_lines[0]["estimated_rows"] if plan_lines else 0.0,
-            "estimated_costs": {name: round(value, 2)
-                                for name, value in sorted(costs.items())},
             "plan": plan_lines,
         }
 
@@ -1054,11 +1037,7 @@ class Connection:
             indent = "  " * line["depth"]
             lines.append(f"{indent}{line['operator']}  "
                          f"[rows~{line['estimated_rows']:.0f}]")
-        costs = ", ".join(f"{name}={value:.0f}"
-                          for name, value in report["estimated_costs"].items())
-        lines.append(f"engine: {report['engine']} "
-                     f"(chosen: {report['chosen_engine']})")
-        lines.append(f"estimated costs: {costs}")
+        lines.append(f"engine: {report['engine']}")
         certain_one = self.uadb.ua_semiring.certain_annotation(
             self.uadb.base_semiring.one)
         # Number the lines so two identical plan lines stay distinct rows
@@ -1075,10 +1054,9 @@ class Connection:
         Compiles (and caches) the statement exactly as :meth:`query` would,
         then returns a dictionary with the optimized ``plan`` (one entry per
         operator: ``depth``, ``operator``, ``estimated_rows``), the
-        cost-model ``estimated_costs`` per engine, the configured ``engine``
-        and the ``chosen_engine`` the query would dispatch to (these differ
-        only for the ``"auto"`` engine).  The SQL form ``EXPLAIN SELECT ...``
-        returns the same information as a ``(step, detail)`` relation.
+        ``estimated_rows`` of the whole query and the ``engine`` it would
+        dispatch to.  The SQL form ``EXPLAIN SELECT ...`` returns the same
+        information as a ``(step, detail)`` relation.
         """
         if mode not in self.MODES:
             raise SessionError(f"unknown compilation mode {mode!r}")

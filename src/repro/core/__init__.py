@@ -10,8 +10,6 @@
   (Definition 8),
 * :mod:`repro.core.rewriter` -- the Figure 8/9 query rewriting over the
   encoded representation,
-* :mod:`repro.core.frontend` -- a user-facing front-end that registers
-  uncertain sources, compiles SQL and returns annotated results,
 * :mod:`repro.core.attribute_bounds` / :mod:`repro.core.attribute_rewriter`
   -- the attribute-level (AU-DB) extension: relations carrying
   per-attribute ``[lower, best, upper]`` ranges, their triple-column
@@ -43,7 +41,6 @@ from repro.core.bestguess import (
 )
 from repro.core.encoding import encode, decode, CERTAINTY_COLUMN
 from repro.core.rewriter import rewrite_plan
-from repro.core.frontend import UADBFrontend, UAQueryResult
 
 __all__ = [
     "AttributeBoundsRelation",
@@ -72,6 +69,4 @@ __all__ = [
     "decode",
     "CERTAINTY_COLUMN",
     "rewrite_plan",
-    "UADBFrontend",
-    "UAQueryResult",
 ]

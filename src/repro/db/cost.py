@@ -1,24 +1,17 @@
-"""Cardinality estimation and the engine cost model.
+"""Cardinality estimation.
 
-This module turns the statistics of :mod:`repro.db.stats` into the two
-numbers the optimizer and the ``auto`` engine need:
-
-* :func:`estimate_cardinality` -- estimated output rows of a plan node,
-  using textbook System-R style selectivity rules (equality ``1/NDV``,
-  equi-join ``|L|*|R| / max(NDV)``, range scans at a fixed default, AND as
-  a product, OR by inclusion-exclusion);
-* :func:`estimate_engine_cost` -- abstract cost of running a plan on a
-  named engine, combining the estimated rows flowing through every node
-  with per-engine constants calibrated from ``BENCH_engines.json`` (the
-  committed engine shoot-out: warm sqlite beats columnar by ~4-19x per
-  row, columnar beats the row engine by ~3-6x, while sqlite pays the
-  largest per-query overhead for SQL compilation and Enc decode).
+This module turns the statistics of :mod:`repro.db.stats` into the number
+join reordering and ``EXPLAIN`` need: :func:`estimate_cardinality`, the
+estimated output rows of a plan node, using textbook System-R style
+selectivity rules (equality ``1/NDV``, equi-join ``|L|*|R| / max(NDV)``,
+range scans at a fixed default, AND as a product, OR by
+inclusion-exclusion).
 
 Estimates are deliberately cheap (one recursive walk, no data access) and
-deliberately approximate: they only need to *rank* join orders and
-engines, not predict wall-clock time.  When statistics are missing the
-estimator falls back to neutral defaults so the optimizer degrades to the
-rule-based behaviour instead of guessing wildly.
+deliberately approximate: they only need to *rank* join orders, not predict
+wall-clock time.  When statistics are missing the estimator falls back to
+neutral defaults so the optimizer degrades to the rule-based behaviour
+instead of guessing wildly.
 """
 
 from __future__ import annotations
@@ -45,12 +38,8 @@ from repro.db.stats import ColumnStats, TableStats
 __all__ = [
     "DEFAULT_ROW_COUNT",
     "DEFAULT_SELECTIVITY",
-    "ENGINE_COSTS",
-    "EngineCost",
     "PlanEstimate",
-    "cheapest_engine",
     "estimate_cardinality",
-    "estimate_engine_cost",
     "estimate_plan",
     "explain_rows",
     "join_cardinality",
@@ -68,32 +57,6 @@ DEFAULT_EQ_SELECTIVITY = 0.1
 
 #: Selectivity of a range predicate (``<``, ``>=``, BETWEEN, LIKE).
 RANGE_SELECTIVITY = 1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class EngineCost:
-    """Cost constants of one engine: per-row work and per-query overhead.
-
-    ``per_row`` is the abstract cost of moving one tuple through one plan
-    operator; ``overhead`` is the fixed per-query cost (dispatch, SQL
-    compilation, result decode).  Units are arbitrary -- only ratios
-    matter, and the ratios mirror ``BENCH_engines.json``.
-    """
-
-    per_row: float
-    overhead: float
-
-
-#: Per-engine cost constants, calibrated from BENCH_engines.json: the row
-#: engine is the per-tuple baseline; the columnar engine amortizes
-#: interpretation over batches (~4x cheaper per row, some batch setup);
-#: warm sqlite is another ~6x cheaper per row but pays the largest fixed
-#: cost for SQL compilation plus Enc encode/decode at the boundary.
-ENGINE_COSTS: Dict[str, EngineCost] = {
-    "row": EngineCost(per_row=1.0, overhead=20.0),
-    "columnar": EngineCost(per_row=0.25, overhead=60.0),
-    "sqlite": EngineCost(per_row=0.04, overhead=220.0),
-}
 
 
 class _Scope:
@@ -377,43 +340,6 @@ def _estimate(plan: algebra.Operator, lookup, qualifier: Optional[str]
 def estimate_cardinality(plan: algebra.Operator, stats: Any = None) -> float:
     """Estimated number of output rows of ``plan`` (see :func:`estimate_plan`)."""
     return estimate_plan(plan, stats).rows
-
-
-def _processed_rows(plan: algebra.Operator, lookup) -> Tuple[float, float]:
-    """(total rows flowing through all nodes, output rows) of ``plan``."""
-    estimate = _estimate(plan, lookup, None)
-    total = estimate.rows
-    for child in plan.children():
-        child_total, _ = _processed_rows(child, lookup)
-        total += child_total
-    return total, estimate.rows
-
-
-def estimate_engine_cost(plan: algebra.Operator, engine_name: str,
-                         stats: Any = None) -> float:
-    """Abstract cost of running ``plan`` on ``engine_name``.
-
-    ``overhead + per_row * (rows through every node)`` using the
-    calibrated :data:`ENGINE_COSTS`; unknown engines cost like the row
-    engine so a custom registration is never penalized by the model.
-    """
-    constants = ENGINE_COSTS.get(engine_name, ENGINE_COSTS["row"])
-    lookup = _stats_lookup(stats)
-    total, _ = _processed_rows(plan, lookup)
-    return constants.overhead + constants.per_row * total
-
-
-def cheapest_engine(plan: algebra.Operator, candidates: List[str],
-                    stats: Any = None) -> Tuple[str, Dict[str, float]]:
-    """The cheapest of ``candidates`` for ``plan``, plus all costs.
-
-    Ties break toward the earlier candidate, so callers list their
-    preference order.  Returns ``(name, {candidate: cost})``.
-    """
-    costs = {name: estimate_engine_cost(plan, name, stats)
-             for name in candidates}
-    best = min(candidates, key=lambda name: costs[name])
-    return best, costs
 
 
 def explain_rows(plan: algebra.Operator, stats: Any = None

@@ -1,7 +1,8 @@
 """Pluggable execution engines.
 
 The engine package decouples *what* a plan computes (K-relational semantics,
-defined once) from *how* it is computed.  Three engines ship by default:
+defined once) from *how* it is computed.  Three engines ship by default,
+under four names:
 
 * ``"row"`` -- the tuple-at-a-time reference interpreter,
 * ``"columnar"`` -- vectorized evaluation over column-major batches with
@@ -10,7 +11,7 @@ defined once) from *how* it is computed.  Three engines ship by default:
   :mod:`repro.db.engine.compiler`) and executed natively on an in-memory
   stdlib :mod:`sqlite3` database holding the relations in the ``Enc``
   layout; unsupported plans fall back to the columnar engine with a logged
-  warning.
+  warning.  ``"auto"`` is a second name for this engine.
 
 Engines are looked up by name through :func:`get_engine`; third parties can
 add their own with :func:`register_engine`.  The process-wide default is
@@ -71,10 +72,11 @@ def get_engine(spec: EngineSpec = None) -> ExecutionEngine:
 # -- dispatch accounting ------------------------------------------------------
 #
 # Process-wide counters of how many plans each engine actually executed.
-# ``evaluate`` records the engine it resolved; the ``auto`` meta-engine
-# additionally records the backend it delegated to, so the counters answer
-# both "how often was auto used" and "where did the work really run".
-# Surfaced by the HTTP server under ``GET /metrics``.
+# ``evaluate`` records the engine it resolved; the sqlite engine
+# additionally records the engine it falls back to for a plan it cannot
+# compile, so the counters answer both "which engine was asked" and "where
+# did the work really run".  Surfaced by the HTTP server under
+# ``GET /metrics``.
 
 _DISPATCH_LOCK = threading.Lock()
 _DISPATCH_COUNTS: Dict[str, int] = {}
@@ -99,15 +101,16 @@ def reset_dispatch_counts() -> None:
         _DISPATCH_COUNTS.clear()
 
 
-from repro.db.engine.auto import AutoEngine  # noqa: E402  (needs get_engine)
-
 register_engine(RowEngine.name, RowEngine)
 register_engine(ColumnarEngine.name, ColumnarEngine)
 register_engine(SQLiteEngine.name, SQLiteEngine)
-register_engine(AutoEngine.name, AutoEngine)
+# "auto" is the sqlite engine itself, not a chooser: a cost-based choice
+# never beat sqlite on any measured plan (CHANGES.md, PR 17).  The name stays
+# because it is public API (``--engine auto``, ``engine="auto"``) and because
+# BENCHMARK.json lists ``db.engine.auto.*`` per-layer metrics.
+register_engine("auto", lambda: get_engine(SQLiteEngine.name))
 
 __all__ = [
-    "AutoEngine",
     "ColumnarEngine",
     "DEFAULT_ENGINE",
     "ENGINE_ENV_VAR",

@@ -17,7 +17,6 @@ Both engines must return identical relations; semantics with latitude
 
 from __future__ import annotations
 
-import logging
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,13 +56,10 @@ from repro.db.engine.common import (
     resolve_limit_count,
     select_limit_rows,
 )
-from repro.db.engine import parallel
 from repro.db.engine.vectors import annotation_ops
 from repro.semirings.boolean import BooleanSemiring
 from repro.semirings.natural import NaturalSemiring
 from repro.semirings.ua import UASemiring
-
-logger = logging.getLogger(__name__)
 
 
 class ColumnarEngine(ExecutionEngine):
@@ -438,12 +434,6 @@ class _ColumnarExecutor:
         return self._filter(batch, plan.predicate)
 
     def _filter(self, batch: _Batch, predicate: Expression) -> _Batch:
-        if parallel.eligible(batch.length):
-            try:
-                return parallel.parallel_filter(batch, predicate, self.ops)
-            except Exception:
-                logger.warning("parallel selection failed; falling back to "
-                               "serial evaluation", exc_info=True)
         ctx = self._context(batch)
         mask = [value is True for value in _eval_vector(predicate, ctx)]
         if all(mask):
@@ -457,17 +447,8 @@ class _ColumnarExecutor:
 
     def _exec_projection(self, plan: algebra.Projection) -> _Batch:
         batch = self.run(plan.child)
-        columns = None
-        if parallel.eligible(batch.length):
-            try:
-                columns = parallel.parallel_project(
-                    batch, [expr for expr, _ in plan.items])
-            except Exception:
-                logger.warning("parallel projection failed; falling back to "
-                               "serial evaluation", exc_info=True)
-        if columns is None:
-            ctx = self._context(batch)
-            columns = [_eval_vector(expr, ctx) for expr, _ in plan.items]
+        ctx = self._context(batch)
+        columns = [_eval_vector(expr, ctx) for expr, _ in plan.items]
         schema = RelationSchema(
             batch.schema.name,
             [Attribute(name) for _, name in plan.items],
@@ -527,17 +508,9 @@ class _ColumnarExecutor:
         if equi:
             left_key = [left.columns[left.schema.index_of(l)] for l, _ in equi]
             right_key = [right.columns[right.schema.index_of(r)] for _, r in equi]
-            buckets: Optional[Dict[Tuple, List[int]]] = None
-            if parallel.eligible(right.length):
-                try:
-                    buckets = parallel.parallel_build(right_key, right.length)
-                except Exception:
-                    logger.warning("parallel hash-join build failed; falling "
-                                   "back to serial build", exc_info=True)
-            if buckets is None:
-                buckets = {}
-                for j, key in enumerate(zip(*right_key)):
-                    buckets.setdefault(key, []).append(j)
+            buckets: Dict[Tuple, List[int]] = {}
+            for j, key in enumerate(zip(*right_key)):
+                buckets.setdefault(key, []).append(j)
             left_sel: List[int] = []
             right_sel: List[int] = []
             for i, key in enumerate(zip(*left_key)):

@@ -395,7 +395,7 @@ class SQLiteEngine(ExecutionEngine):
 
     def _fall_back(self, plan: algebra.Operator, database: Database,
                    params: Params, reason: Exception, key=None) -> KRelation:
-        from repro.db.engine import get_engine
+        from repro.db.engine import get_engine, record_dispatch
 
         with self._lock:
             self.fallbacks += 1
@@ -407,13 +407,9 @@ class SQLiteEngine(ExecutionEngine):
                 if len(self._warned) > 4 * self._compiled_cache_size:
                     self._warned.clear()
         if warn:
-            from repro.db import cost
-
-            fallback_cost = cost.estimate_engine_cost(
-                plan, self.fallback, getattr(database, "stats", None))
             logger.warning(
                 "sqlite engine cannot run this plan (%s); falling back to "
-                "the %r engine (estimated cost %.0f)",
-                reason, self.fallback, fallback_cost,
+                "the %r engine", reason, self.fallback,
             )
+        record_dispatch(self.fallback)
         return get_engine(self.fallback).execute(plan, database, params=params)

@@ -27,8 +27,7 @@ using the cardinality estimates of :mod:`repro.db.cost`, and wraps the
 result in a projection restoring the original column order.  Reordering
 is sound for every commutative semiring (annotation multiplication is
 commutative and associative, the same argument as for the other rules)
-and applies only when its estimate beats the written order; it can be
-disabled on its own via ``REPRO_REORDER_JOINS=0``.
+and applies only when its estimate beats the written order.
 
 The optimizer is bypassable for A/B testing: pass ``optimize=False`` to
 :func:`repro.db.evaluator.evaluate` (or set ``REPRO_OPTIMIZE=0``).
@@ -36,7 +35,6 @@ The optimizer is bypassable for A/B testing: pass ``optimize=False`` to
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.db import algebra
@@ -647,20 +645,10 @@ def drop_redundant_orderby(plan: algebra.Operator) -> algebra.Operator:
 # Cost-based join reordering.
 # ---------------------------------------------------------------------------
 
-#: Environment variable disabling join reordering alone (``0``/``false``).
-REORDER_ENV_VAR = "REPRO_REORDER_JOINS"
-
 #: A greedy order must beat the written order's estimated intermediate-row
 #: total by this factor before it replaces the plan (hysteresis against
 #: churn on estimation noise).
 REORDER_GAIN = 0.95
-
-
-def _reorder_enabled() -> bool:
-    value = os.environ.get(REORDER_ENV_VAR)
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "false", "no", "off")
 
 
 def reorder_joins(plan: algebra.Operator,
@@ -681,9 +669,9 @@ def reorder_joins(plan: algebra.Operator,
     for every input, requires every conjunct to resolve over the combined
     scope, and keeps the written order unless the greedy order's estimated
     intermediate-row total is at least :data:`REORDER_GAIN` times smaller.
-    Without ``stats`` (or with ``REPRO_REORDER_JOINS=0``) it is a no-op.
+    Without ``stats`` it is a no-op.
     """
-    if stats is None or not _reorder_enabled():
+    if stats is None:
         return plan
     return _reorder(plan, catalog, stats)
 

@@ -125,7 +125,7 @@ class ExplainStatement:
     """``EXPLAIN <statement>``: describe the plan instead of running it.
 
     The session compiles the wrapped statement through the normal pipeline
-    and reports the optimized plan, the estimated cardinalities/costs from
+    and reports the optimized plan, the estimated cardinalities from
     :mod:`repro.db.cost`, and the engine the query would dispatch to --
     without executing anything.
     """

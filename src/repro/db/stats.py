@@ -1,8 +1,9 @@
 """Per-table statistics for cost-based optimization.
 
-The statistics layer feeds the cost model (:mod:`repro.db.cost`) and the
-optimizer's join-reordering pass (:func:`repro.db.optimizer.reorder_joins`)
-with the small set of facts cardinality estimation needs:
+The statistics layer feeds cardinality estimation (:mod:`repro.db.cost`)
+and through it the optimizer's join-reordering pass
+(:func:`repro.db.optimizer.reorder_joins`) with the small set of facts it
+needs:
 
 * **row counts** -- distinct annotated tuples per relation,
 * **per-column NDV** -- number of distinct values, exact up to
@@ -307,9 +308,8 @@ class StatsCatalog:
     """All table statistics of one catalog, with store persistence.
 
     The session owns one catalog per connection and attaches it to its
-    databases as ``database.stats`` so the evaluator and the ``auto``
-    engine can reach it; the optimizer receives it through
-    ``optimize_plan(..., stats=...)``.
+    databases as ``database.stats`` so the evaluator can reach it; the
+    optimizer receives it through ``optimize_plan(..., stats=...)``.
     """
 
     def __init__(self, store: Optional[object] = None) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.experiments.pdbench_harness import build_frontend, measure_query
+from repro.experiments.pdbench_harness import build_connection, measure_query
 from repro.experiments.runner import ExperimentTable
 from repro.workloads.pdbench import generate_pdbench
 
@@ -30,9 +30,9 @@ def run(uncertainties: Sequence[float] = (0.02, 0.05, 0.10, 0.30),
         instance = generate_pdbench(
             scale_factor=scale_factor, uncertainty=uncertainty, seed=seed
         )
-        frontend = build_frontend(instance)
+        conn = build_connection(instance)
         for query in queries:
-            measurement = measure_query(instance, query, frontend)
+            measurement = measure_query(instance, query, conn)
             table.add_row(
                 query, uncertainty,
                 *(measurement.runtime(system) if system in measurement.systems else None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.pdbench_harness import build_frontend, measure_query
+from repro.experiments.pdbench_harness import build_connection, measure_query
 from repro.experiments.runner import ExperimentTable
 from repro.workloads.pdbench import generate_pdbench
 
@@ -27,10 +27,10 @@ def run(uncertainties: Sequence[float] = (0.02, 0.05, 0.10, 0.30),
         instance = generate_pdbench(
             scale_factor=scale_factor, uncertainty=uncertainty, seed=seed
         )
-        frontend = build_frontend(instance)
+        conn = build_connection(instance)
         for query in queries:
             measurement = measure_query(
-                instance, query, frontend, include_mcdb=False
+                instance, query, conn, include_mcdb=False
             )
             table.add_row(
                 uncertainty, query,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.pdbench_harness import build_frontend
+from repro.experiments.pdbench_harness import build_connection
 from repro.experiments.runner import ExperimentTable
 from repro.workloads.pdbench import generate_pdbench
 from repro.workloads.tpch_queries import pdbench_query
@@ -29,9 +29,9 @@ def run(uncertainties: Sequence[float] = (0.02, 0.05, 0.10, 0.30),
         instance = generate_pdbench(
             scale_factor=scale_factor, uncertainty=uncertainty, seed=seed
         )
-        frontend = build_frontend(instance)
+        conn = build_connection(instance)
         for query in queries:
-            result = frontend.query(pdbench_query(query))
+            result = conn.query(pdbench_query(query))
             total = len(result.relation)
             certain = len(result.certain_rows())
             pct = 100.0 * certain / total if total else 0.0

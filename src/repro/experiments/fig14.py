@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.pdbench_harness import build_frontend, measure_query
+from repro.experiments.pdbench_harness import build_connection, measure_query
 from repro.experiments.runner import ExperimentTable
 from repro.workloads.pdbench import generate_pdbench
 
@@ -31,9 +31,9 @@ def run(scale_factors: Sequence[float] = (0.025, 0.1, 0.4),
         instance = generate_pdbench(
             scale_factor=scale_factor, uncertainty=uncertainty, seed=seed
         )
-        frontend = build_frontend(instance)
+        conn = build_connection(instance)
         for query in queries:
-            measurement = measure_query(instance, query, frontend)
+            measurement = measure_query(instance, query, conn)
             table.add_row(
                 query, scale_factor,
                 *(measurement.runtime(system) if system in measurement.systems else None

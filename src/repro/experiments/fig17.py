@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.baselines.maybms import MayBMSDatabase
-from repro.core.frontend import UADBFrontend
+from repro.api.session import connect
 from repro.db.sql import parse_query
 from repro.experiments.runner import ExperimentTable
 from repro.metrics.classification import false_negative_rate
@@ -34,8 +34,8 @@ def run(queries: Optional[Sequence[str]] = None, num_crimes: int = 400,
         num_crimes=num_crimes, num_graffiti=num_graffiti,
         num_inspections=num_inspections, uncertainty=uncertainty, seed=seed,
     )
-    frontend = UADBFrontend(NATURAL, "city")
-    frontend.register_xdb(instance.xdb)
+    conn = connect(NATURAL, "city", cache_size=0)
+    conn.register_xdb(instance.xdb)
     maybms = MayBMSDatabase.from_xdb(instance.xdb)
 
     table = ExperimentTable(
@@ -49,16 +49,16 @@ def run(queries: Optional[Sequence[str]] = None, num_crimes: int = 400,
         ua_time = 0.0
         ua_result = None
         for _ in range(repetitions):
-            _, elapsed = frontend.query_deterministic(sql)
+            _, elapsed = conn.query_deterministic(sql)
             det_time += elapsed
-            ua_result = frontend.query(sql)
+            ua_result = conn.query(sql)
             ua_time += ua_result.elapsed
         det_time /= repetitions
         ua_time /= repetitions
         overhead = 100.0 * (ua_time - det_time) / det_time if det_time > 0 else 0.0
 
         # Ground-truth certain answers via exact confidence over the U-relations.
-        plan = parse_query(sql, frontend.uadb.best_guess_database().schema)
+        plan = parse_query(sql, conn.uadb.best_guess_database().schema)
         possible, _ = maybms.query(plan)
         truth_certain = maybms.certain_rows(possible, exact=True)
         labeled_certain = ua_result.certain_rows()

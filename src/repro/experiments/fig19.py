@@ -19,7 +19,7 @@ import time
 from typing import Dict, Optional, Sequence
 
 from repro.baselines.maybms import MayBMSDatabase
-from repro.core.frontend import UADBFrontend
+from repro.api.session import connect
 from repro.db.sql import parse_query
 from repro.experiments.runner import ExperimentTable
 from repro.metrics.classification import classification_report
@@ -41,14 +41,14 @@ def run(block_sizes: Sequence[int] = (2, 5, 10, 20),
         instance = generate_bidb(
             num_blocks=num_blocks, alternatives_per_block=block_size, seed=seed
         )
-        frontend = UADBFrontend(NATURAL, "bidb")
-        frontend.register_xdb(instance.xdb)
+        conn = connect(NATURAL, "bidb", cache_size=0)
+        conn.register_xdb(instance.xdb)
         maybms = MayBMSDatabase.from_xdb(instance.xdb)
-        catalog = frontend.uadb.best_guess_database().schema
+        catalog = conn.uadb.best_guess_database().schema
 
         for name in queries:
             sql = qp_query(name, instance.probe_index)
-            ua_result = frontend.query(sql)
+            ua_result = conn.query(sql)
 
             plan = parse_query(sql, catalog)
             possible, maybms_query_time = maybms.query(plan)

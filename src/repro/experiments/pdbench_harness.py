@@ -20,7 +20,7 @@ from repro.baselines.bgqp import best_guess_query
 from repro.baselines.libkin import libkin_certain_answers
 from repro.baselines.maybms import MayBMSDatabase
 from repro.baselines.mcdb import MCDBSampler
-from repro.core.frontend import UADBFrontend
+from repro.api.session import Connection, connect
 from repro.db.sql import parse_query
 from repro.semirings import NATURAL
 from repro.workloads.pdbench import PDBenchInstance, generate_pdbench
@@ -59,21 +59,23 @@ class PDBenchMeasurement:
         return (measurement.certain_size or 0) / measurement.result_size
 
 
-def build_frontend(instance: PDBenchInstance,
-                   engine: Optional[object] = None) -> UADBFrontend:
+def build_connection(instance: PDBenchInstance,
+                     engine: Optional[object] = None) -> Connection:
     """Register the PDBench x-DB with its designated best-guess world.
 
-    ``engine`` selects the execution engine for every query the front-end
+    ``engine`` selects the execution engine for every query the connection
     runs (None = the process default), so the figure benchmarks can compare
-    backends on identical instances.
+    backends on identical instances.  The plan cache is off: the experiments
+    time ``query()`` against the uncached deterministic baseline, so every
+    call must keep paying the parse/rewrite/optimize cost.
     """
-    frontend = UADBFrontend(NATURAL, "pdbench", engine=engine)
-    frontend.register_xdb(instance.xdb, world=instance.best_guess)
-    return frontend
+    conn = connect(NATURAL, "pdbench", engine=engine, cache_size=0)
+    conn.register_xdb(instance.xdb, world=instance.best_guess)
+    return conn
 
 
 def measure_query(instance: PDBenchInstance, query_name: str,
-                  frontend: Optional[UADBFrontend] = None,
+                  conn: Optional[Connection] = None,
                   mcdb_samples: int = 10,
                   include_maybms: bool = True,
                   include_mcdb: bool = True) -> PDBenchMeasurement:
@@ -84,8 +86,8 @@ def measure_query(instance: PDBenchInstance, query_name: str,
     det_result, det_time = best_guess_query(instance.best_guess, sql)
     systems["Det"] = SystemMeasurement(det_time, len(det_result))
 
-    frontend = frontend or build_frontend(instance)
-    ua_result = frontend.query(sql)
+    conn = conn or build_connection(instance)
+    ua_result = conn.query(sql)
     systems["UA-DB"] = SystemMeasurement(
         ua_result.elapsed, len(ua_result.relation), len(ua_result.certain_rows())
     )

@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api.pool import ConnectionPool, PoolError, PoolTimeout
 from repro.api.session import SessionError
 from repro.api.store import StoreError, UnstorableRelationError
-from repro.db.engine import dispatch_counts, get_engine, parallel
+from repro.db.engine import dispatch_counts, get_engine
 from repro.db.engine.base import EvaluationError, UnknownEngineError
 from repro.db.params import ParameterError
 from repro.db.schema import SchemaError
@@ -761,13 +761,10 @@ class UADBServer:
             "plan_cache": cache,
             "pool": pool_stats,
             "store": store,
-            # Per-engine dispatch counts: where evaluate() sent plans.  With
-            # the "auto" engine both the meta-engine and its delegate count,
-            # so the delegate split is visible.
+            # Per-engine dispatch counts: where evaluate() sent plans.  A
+            # plan sqlite cannot compile counts twice, once under "sqlite"
+            # and once under the engine it fell back to.
             "engine_dispatch": dispatch_counts(),
-            # Intra-query parallel layer: chunk counters and worker
-            # utilization (busy-over-wall time across parallelized tasks).
-            "parallel": parallel.stats(),
         }
         if self.result_cache is not None:
             payload["result_cache"] = self.result_cache.stats()

@@ -47,8 +47,8 @@ outright -- grouping and scalar aggregation) then asserts, per engine:
   deterministic answer over the best-guess world;
 * **invariants**: ``lower <= best <= upper`` on every attribute range and
   ``m_lb <= m_bg <= m_ub`` on every multiplicity triple;
-* **engine agreement**: row, columnar, compiled SQLite (in memory and on
-  disk) and the cost-based ``auto`` selector return identical fragments.
+* **engine agreement**: row, columnar and compiled SQLite (in memory and on
+  disk) return identical fragments.
 
 The deterministic per-world answers come from a tiny independent bag
 evaluator built from the generator's own closures -- no SQL parsing, no
@@ -91,12 +91,10 @@ __all__ = [
     "shrink",
 ]
 
-#: The execution configurations every query must agree across.  "auto" runs
-#: the cost-based engine selector, so every random query also pins the
-#: chosen delegate against the statically configured engines.
-CONFIGS: Tuple[str, ...] = ("row", "columnar", "sqlite", "sqlite-disk", "auto")
+#: The execution configurations every query must agree across.
+CONFIGS: Tuple[str, ...] = ("row", "columnar", "sqlite", "sqlite-disk")
 
-#: Random queries generated per seed (5 configurations each).
+#: Random queries generated per seed (4 configurations each).
 QUERIES_PER_SEED = 5
 
 #: Environment variable naming the seed log (CI uploads it on failure).
@@ -458,10 +456,8 @@ def _log_seed(seed: int, queries: int, failures: List[Failure],
 # Attribute-level (AU-DB) harness: range containment vs. world enumeration.
 # ---------------------------------------------------------------------------
 
-#: Execution configurations of the attribute-level harness.  "auto" runs
-#: the cost-based engine selector over the range-rewritten plan.
-ATTRIBUTE_CONFIGS: Tuple[str, ...] = (
-    "row", "columnar", "sqlite", "sqlite-disk", "auto")
+#: Execution configurations of the attribute-level harness.
+ATTRIBUTE_CONFIGS: Tuple[str, ...] = CONFIGS
 
 #: Random attribute-level queries generated per seed.
 ATTRIBUTE_QUERIES_PER_SEED = 5

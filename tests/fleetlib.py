@@ -1,12 +1,11 @@
-"""Shared helper for tests and benchmarks that drive a real fleet process.
+"""Shared helper for tests that drive a real fleet process.
 
 :class:`FleetProcess` boots ``python -m repro.server --workers N`` as a
 subprocess, parses the ``FLEET READY http://host:port workers=N mode=...``
 line the supervisor prints, and exposes typed accessors (clients, worker
 pids via ``/metrics``, SIGTERM/SIGKILL helpers).  Used by
-``tests/test_fleet.py``, by ``tests/test_server.py`` when
-``REPRO_FLEET_WORKERS`` switches the endpoint-matrix fixture to fleet mode,
-and by ``benchmarks/bench_fleet.py``.
+``tests/test_fleet.py`` and by ``tests/test_server.py`` when
+``REPRO_FLEET_WORKERS`` switches the endpoint-matrix fixture to fleet mode.
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@
 Covers parameter placeholders end to end (lexer -> parser -> plan -> both
 engines), the prepared-plan cache (hits, invalidation on registration, LRU
 bounds), SQL-level CREATE TABLE / INSERT, cursors, and equivalence of the
-session's rewritten path with the direct K_UA evaluation and the legacy
-`UADBFrontend` surface.
+session's rewritten path with the direct K_UA evaluation.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pytest
 
 import repro
 from repro.api import Connection, PlanCache, PreparedStatement, SessionError, connect
-from repro.core.frontend import UADBFrontend
 from repro.db.params import ParameterError
 from repro.db.relation import bag_relation
 from repro.db.schema import DataType, RelationSchema, SchemaError
@@ -86,18 +84,6 @@ def test_parameters_rewritten_equals_direct(geo_connection):
     rewritten = geo_connection.query(GEO_QUERY, [1])
     direct = geo_connection.query_direct(GEO_QUERY, [1])
     assert rewritten.labeled_rows() == direct.labeled_rows()
-
-
-def test_session_matches_legacy_frontend(geocoding_xdb, engine):
-    conn = connect(NATURAL, name="geo", engine=engine)
-    conn.register_xdb(geocoding_xdb)
-    frontend = UADBFrontend(NATURAL, "geo", engine=engine)
-    frontend.register_xdb(geocoding_xdb)
-    literal_query = GEO_QUERY.replace("?", "1")
-    assert (conn.query(GEO_QUERY, [1]).labeled_rows()
-            == frontend.query(literal_query).labeled_rows())
-    assert (conn.query(GEO_QUERY, [1]).certain_rows()
-            == frontend.query(literal_query).certain_rows())
 
 
 def test_wrong_parameter_count_raises(loaded_connection):

@@ -12,7 +12,7 @@ query (including grouping/scalar aggregation, which tuple-level UA rejects
 outright) the produced ``[lower, best, upper]`` fragments must contain the
 deterministic answer of **every enumerated possible world**, match the
 best-guess world exactly, keep the range/multiplicity invariants and agree
-across all five engine configurations.
+across all four engine configurations.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def test_attribute_containment(seed, tmp_path):
     joins, unions, DISTINCT, grouping and scalar aggregation) checked for
     range containment against full world enumeration, best-guess
     exactness, the lower <= best <= upper invariants and agreement across
-    all five engine configurations.
+    all four engine configurations.
     """
     failures = run_attribute_seed(seed, store_dir=str(tmp_path))
     assert not failures, "\n".join(str(failure) for failure in failures)

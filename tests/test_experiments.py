@@ -14,7 +14,7 @@ from repro.experiments import (
     fig20, fig21,
 )
 from repro.experiments.pdbench_harness import (
-    build_frontend, default_instance, measure_query,
+    build_connection, default_instance, measure_query,
 )
 from repro.experiments.projection_fnr import (
     bag_projection_error_rate, ground_truth_certain_projection,
@@ -85,8 +85,8 @@ def test_projection_fnr_and_bag_error(geocoding_xdb):
 
 def test_pdbench_measure_query_systems_agree_on_shape():
     instance = default_instance(uncertainty=0.05, scale_factor=0.02)
-    frontend = build_frontend(instance)
-    measurement = measure_query(instance, "Q2", frontend)
+    conn = build_connection(instance)
+    measurement = measure_query(instance, "Q2", conn)
     assert set(measurement.systems) == {"Det", "UA-DB", "Libkin", "MayBMS", "MCDB"}
     # UA-DB returns exactly the deterministic (best-guess) answer set.
     assert measurement.result_size("UA-DB") == measurement.result_size("Det")

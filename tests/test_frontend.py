@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.frontend import UADBFrontend
+import repro
 from repro.core.uadb import UADatabase
 from repro.db.relation import bag_relation
 from repro.db.schema import RelationSchema
@@ -20,7 +20,7 @@ GEO_QUERY = (
 
 @pytest.fixture
 def geo_frontend(geocoding_xdb):
-    frontend = UADBFrontend(NATURAL, "geo")
+    frontend = repro.connect(NATURAL, "geo", cache_size=0)
     frontend.register_xdb(geocoding_xdb)
     return frontend
 
@@ -53,7 +53,7 @@ def test_result_size_matches_deterministic(geo_frontend):
 
 def test_frontend_register_deterministic_everything_certain():
     schema = RelationSchema("t", ["a", "b"])
-    frontend = UADBFrontend(NATURAL, "d")
+    frontend = repro.connect(NATURAL, "d")
     frontend.register_deterministic(bag_relation(schema, [(1, "x"), (2, "y")]))
     result = frontend.query("SELECT a, b FROM t WHERE a >= 1")
     assert all(certain for _, certain in result.labeled_rows())
@@ -66,7 +66,7 @@ def test_frontend_register_tidb_sources():
     relation.add((1, "keep"), probability=1.0)
     relation.add((2, "maybe"), probability=0.8)
     relation.add((3, "drop"), probability=0.2)
-    frontend = UADBFrontend(NATURAL, "ti")
+    frontend = repro.connect(NATURAL, "ti")
     frontend.register_tidb(tidb)
     result = frontend.query("SELECT a, b FROM r")
     rows = dict(result.labeled_rows())
@@ -82,7 +82,7 @@ def test_frontend_register_ctable_sources():
     ctable = database.create_relation(schema)
     ctable.add_tuple((1, "always"))
     ctable.add_tuple((2, "conditional"), ComparisonAtom("=", x, 1))
-    frontend = UADBFrontend(NATURAL, "c")
+    frontend = repro.connect(NATURAL, "c")
     frontend.register_ctable(database)
     result = frontend.query("SELECT a, b FROM r")
     rows = dict(result.labeled_rows())
@@ -122,7 +122,7 @@ def test_frontend_bag_multiplicities_roundtrip():
     relation = uadb.create_relation(schema)
     relation.add_tuple(("x",), certain=2, determinized=4)
     relation.add_tuple(("y",), certain=0, determinized=1)
-    frontend = UADBFrontend(NATURAL, "bag")
+    frontend = repro.connect(NATURAL, "bag")
     frontend.register_ua_database(uadb)
     result = frontend.query("SELECT a FROM r")
     assert result.relation.annotation(("x",)).as_tuple() == (2, 4)
@@ -144,7 +144,7 @@ def test_labeled_rows_sorted_for_stable_output():
     relation.add_tuple((1, "x"), certain=0, determinized=1)
     relation.add_tuple((None, "m"), certain=1, determinized=1)
     relation.add_tuple((2, "y"), certain=1, determinized=1)
-    frontend = UADBFrontend(NATURAL, "sortcheck")
+    frontend = repro.connect(NATURAL, "sortcheck")
     frontend.register_ua_database(uadb)
     result = frontend.query("SELECT a, b FROM r")
     rows = [row for row, _ in result.labeled_rows()]
@@ -154,21 +154,20 @@ def test_labeled_rows_sorted_for_stable_output():
 
 
 def test_frontend_is_a_connection_shim(geo_frontend, geocoding_xdb):
-    """The legacy front-end delegates to a live repro.api Connection."""
+    """``cache_size=0`` compiles every time; a positive size caches plans."""
     from repro.api import Connection
 
-    assert isinstance(geo_frontend.connection, Connection)
-    # By default the shim's plan cache is disabled: per-call timings keep the
+    assert isinstance(geo_frontend, Connection)
+    # With the plan cache disabled, per-call timings keep the
     # compile-every-time semantics the paper experiments measure.
     geo_frontend.query(GEO_QUERY)
     geo_frontend.query(GEO_QUERY)
-    assert geo_frontend.connection.plan_cache.stats()["hits"] == 0
-    # Caching is opt-in on the legacy surface.
-    cached = UADBFrontend(NATURAL, "geo", cache_size=16)
+    assert geo_frontend.plan_cache.stats()["hits"] == 0
+    cached = repro.connect(NATURAL, "geo", cache_size=16)
     cached.register_xdb(geocoding_xdb)
     cached.query(GEO_QUERY)
     cached.query(GEO_QUERY)
-    assert cached.connection.plan_cache.stats()["hits"] == 1
+    assert cached.plan_cache.stats()["hits"] == 1
 
 
 def test_query_result_len_and_rows(geo_frontend):

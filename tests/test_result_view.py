@@ -151,7 +151,7 @@ def test_positional_and_keyword_construction_compare_by_value():
     assert UAQueryResult(relation).schema is relation.schema
 
 
-@pytest.mark.parametrize("engine", ["row", "columnar", "sqlite", "auto"])
+@pytest.mark.parametrize("engine", ["row", "columnar", "sqlite"])
 def test_result_is_a_snapshot(engine):
     """A result taken before a write does not see it: the row engine answers
     a bare table reference with the stored relation itself, and the view

@@ -14,7 +14,9 @@ import pytest
 import repro
 from repro.db import algebra
 from repro.db.database import Database
-from repro.db.engine import SQLiteEngine, UnknownEngineError, get_engine
+from repro.db.engine import (
+    SQLiteEngine, UnknownEngineError, dispatch_counts, get_engine,
+)
 from repro.db.engine.base import EvaluationError
 from repro.db.engine.compiler import (
     NotSupportedError,
@@ -168,11 +170,14 @@ def test_compile_plan_rejects_unsupported_functions(store):
 
 def test_unsupported_function_falls_back_with_warning(engine, store, caplog):
     plan = parse_query("SELECT round(price) AS r FROM items", store.schema)
+    columnar = dispatch_counts().get("columnar", 0)
     with caplog.at_level(logging.WARNING, logger="repro.db.engine.sqlite"):
         result = engine.execute(plan, store)
     assert any("falling back" in record.message for record in caplog.records)
     assert result == evaluate(plan, store, engine="row", optimize=False)
     assert engine.stats()["fallbacks"] == 1
+    # The delegate is visible in the process-wide dispatch accounting.
+    assert dispatch_counts()["columnar"] == columnar + 1
 
 
 def test_unsupported_semiring_falls_back(engine, caplog):

@@ -272,13 +272,6 @@ def test_foreign_sqlite_file_raises_store_error(tmp_path):
     assert names == {"someone_elses_data"}
 
 
-def test_frontend_surfaces_store_error(tmp_path):
-    from repro.core.frontend import UADBFrontend
-
-    with pytest.raises(StoreError):
-        UADBFrontend(store=str(tmp_path / "nope" / "x.uadb"))
-
-
 def test_closed_store_raises_store_error(tmp_path):
     conn = repro.connect(str(tmp_path / "closed.uadb"))
     store = conn.store
