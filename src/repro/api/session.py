@@ -29,9 +29,11 @@ import re
 import time
 import uuid
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.db import algebra
 from repro.db.database import Database
@@ -234,17 +236,19 @@ class AttributeQueryResult:
         when any producing fragment's range for it is not collapsed.
         """
         names = self.relation.schema.attribute_names
-        merged: Dict[Row, Tuple[bool, set]] = {}
+        merged: Dict[Row, List[Any]] = {}
         for ranges, (low, best, _high) in self.relation.items():
             if best < 1:
                 continue
             row = tuple(r[1] for r in ranges)
-            exists, uncertain = merged.get(row, (False, set()))
-            uncertain = set(uncertain)
-            uncertain.update(
-                names[i] for i, (lower, _b, upper) in enumerate(ranges)
-                if lower != upper)
-            merged[row] = (exists or low >= 1, uncertain)
+            label = merged.get(row)
+            if label is None:
+                label = merged[row] = [False, set()]
+            if low >= 1:
+                label[0] = True
+            for name, (lower, _b, upper) in zip(names, ranges):
+                if lower != upper:
+                    label[1].add(name)
         pairs = [(row, AttributeLabel(exists, frozenset(uncertain)))
                  for row, (exists, uncertain) in merged.items()]
         pairs.sort(key=lambda pair: _row_sort_key(pair[0]))
@@ -285,6 +289,10 @@ class PreparedPlan:
     #: plans need them to decode the canonical triple layout back into
     #: named ranges.
     output_names: Tuple[str, ...] = ()
+    #: ``"attribute"``-mode plans: joins still matching on range overlap and
+    #: output columns known collapsed (what EXPLAIN reports).
+    range_joins: int = 0
+    certain_columns: Tuple[str, ...] = ()
 
 
 class Connection:
@@ -391,10 +399,12 @@ class Connection:
         self._attribute_relations: Dict[str, AttributeBoundsRelation] = {}
         #: Their encoded (triple-layout) counterparts, by name.
         self._attribute_encoded: Dict[str, KRelation] = {}
-        # Lazily built execution database for "attribute"-mode plans; the
-        # key records the catalog/stats versions it was derived under.
-        self._attribute_db: Optional[Database] = None
-        self._attribute_db_key: Optional[Tuple[int, int]] = None
+        # Lazily built state for "attribute"-mode plans, one slot swapped
+        # in one assignment: the (catalog, stats) versions it was derived
+        # under, the execution database, and each relation's certain
+        # attributes (what the range rewriter may compile by equality).
+        self._attribute_state: Optional[Tuple[
+            Tuple[int, int], Database, Dict[str, FrozenSet[str]]]] = None
         self._closed = False
         if self.store is not None:
             self._load_from_store()
@@ -614,28 +624,36 @@ class Connection:
             catalog.add(ua_relation.schema)
         return catalog
 
-    def _attribute_database(self) -> Database:
-        """The execution database backing ``"attribute"``-mode plans.
+    def _attribute_execution(self) -> Tuple[Database, Dict[str, FrozenSet[str]]]:
+        """The execution database backing ``"attribute"``-mode plans, and
+        per relation the attributes no stored range leaves uncertain.
 
-        Holds the triple-layout encoding of the native attribute relations
-        plus a derived encoding of every tuple-level UA relation; rebuilt
-        lazily whenever the catalog or the data (statistics version)
-        changed.  Callers hold the session's read lock.
+        The database holds the triple-layout encoding of the native
+        attribute relations plus a derived encoding of every tuple-level UA
+        relation (all of whose attributes are therefore certain); both are
+        rebuilt together, lazily, whenever the catalog or the data
+        (statistics version) changed -- the key cached plans also die on,
+        so no plan compiled against the map outlives the data it
+        describes.  Callers hold the session's read lock.
         """
         key = (self.catalog_version, self.stats_version)
-        if self._attribute_db is None or self._attribute_db_key != key:
+        state = self._attribute_state
+        if state is None or state[0] != key:
             database = Database(self.semiring, f"{self.name}_attr",
                                 engine=self.engine)
-            for encoded in self._attribute_encoded.values():
+            certain: Dict[str, FrozenSet[str]] = {}
+            for name, encoded in self._attribute_encoded.items():
                 database.add_relation(encoded)
+                certain[encoded.schema.name] = \
+                    self._attribute_relations[name].certain_attributes()
             for ua_relation in self.uadb:
-                database.add_relation(encode_attribute_relation(
-                    AttributeBoundsRelation.from_ua_relation(ua_relation),
-                    self.semiring))
+                bounds = AttributeBoundsRelation.from_ua_relation(ua_relation)
+                database.add_relation(
+                    encode_attribute_relation(bounds, self.semiring))
+                certain[bounds.schema.name] = bounds.certain_attributes()
             database.stats = self.stats
-            self._attribute_db = database
-            self._attribute_db_key = key
-        return self._attribute_db
+            state = self._attribute_state = (key, database, certain)
+        return state[1], state[2]
 
     def tables(self) -> List[Dict[str, Any]]:
         """Catalog metadata for every registered relation, in creation order.
@@ -762,9 +780,8 @@ class Connection:
                 raise SessionError("EXPLAIN supports SELECT statements only")
             # EXPLAIN never executes, so it requires no parameter bindings
             # even when the wrapped statement has placeholders.
-            return PreparedPlan(sql, "explain", mode, inner.catalog_version,
-                                plan=inner.plan, statement=statement,
-                                stats_version=inner.stats_version)
+            return replace(inner, kind="explain", statement=statement,
+                           parameters=())
         if isinstance(statement, CreateTableStatement):
             return PreparedPlan(sql, "create", mode, self.catalog_version,
                                 statement=statement,
@@ -778,7 +795,7 @@ class Connection:
                                 statement=statement,
                                 parameters=tuple(parameters),
                                 stats_version=self.stats_version)
-        output_names: Tuple[str, ...] = ()
+        described: Dict[str, Any] = {}
         if mode == "rewritten":
             logical = translate(statement, self.catalog)
             plan = rewrite_plan(logical, self.encoded_catalog)
@@ -789,11 +806,13 @@ class Connection:
             optimize_catalog = self.catalog
         elif mode == "attribute":
             logical = translate(statement, self.attribute_catalog)
-            rewrite = rewrite_attribute_plan(logical,
-                                             self._attribute_database().schema)
+            database, certain = self._attribute_execution()
+            rewrite = rewrite_attribute_plan(logical, database.schema, certain)
             plan = rewrite.plan
-            output_names = rewrite.columns
-            optimize_catalog = self._attribute_database().schema
+            described = {"output_names": rewrite.columns,
+                         "range_joins": rewrite.range_joins,
+                         "certain_columns": rewrite.certain_columns}
+            optimize_catalog = database.schema
         else:
             raise SessionError(f"unknown compilation mode {mode!r}")
         parameters = plan_parameters(logical)
@@ -806,8 +825,7 @@ class Connection:
             plan = optimize_plan(plan, optimize_catalog, stats=self.stats)
         return PreparedPlan(sql, "select", mode, self.catalog_version,
                             plan=plan, parameters=tuple(parameters),
-                            stats_version=self.stats_version,
-                            output_names=output_names)
+                            stats_version=self.stats_version, **described)
 
     # -- statement execution ------------------------------------------------------
 
@@ -830,7 +848,8 @@ class Connection:
         started = time.perf_counter()
         with self._locking.read():
             if entry.mode == "attribute":
-                encoded_result = evaluate(entry.plan, self._attribute_database(),
+                encoded_result = evaluate(entry.plan,
+                                          self._attribute_execution()[0],
                                           engine=self.engine, optimize=False,
                                           params=params)
                 bounds = decode_attribute_relation(
@@ -1010,34 +1029,42 @@ class Connection:
         Attribute("detail", DataType.STRING),
     ])
 
-    def _explain_report(self, plan: algebra.Operator,
-                        mode: str) -> Dict[str, Any]:
+    def _explain_report(self, entry: PreparedPlan) -> Dict[str, Any]:
         """The structured EXPLAIN payload for an already-optimized plan."""
         from repro.db import cost
         from repro.db.engine import get_engine
 
         plan_lines = [
             {"depth": depth, "operator": describe, "estimated_rows": rows}
-            for depth, describe, rows in cost.explain_rows(plan, self.stats)
+            for depth, describe, rows
+            in cost.explain_rows(entry.plan, self.stats)
         ]
-        return {
-            "mode": mode,
+        report = {
+            "mode": entry.mode,
             "engine": get_engine(self.engine).name,
             "estimated_rows": plan_lines[0]["estimated_rows"] if plan_lines else 0.0,
             "plan": plan_lines,
         }
+        if entry.mode == "attribute":
+            report["range_joins"] = entry.range_joins
+            report["certain_columns"] = list(entry.certain_columns)
+        return report
 
     def _run_explain(self, entry: PreparedPlan) -> UAQueryResult:
         """Materialize an EXPLAIN report as a (step, detail) relation."""
         started = time.perf_counter()
         with self._locking.read():
-            report = self._explain_report(entry.plan, entry.mode)
+            report = self._explain_report(entry)
         lines: List[str] = []
         for line in report["plan"]:
             indent = "  " * line["depth"]
             lines.append(f"{indent}{line['operator']}  "
                          f"[rows~{line['estimated_rows']:.0f}]")
         lines.append(f"engine: {report['engine']}")
+        if entry.mode == "attribute":
+            lines.append(f"range joins: {report['range_joins']}")
+            lines.append("certain columns: "
+                         + ", ".join(report["certain_columns"]))
         certain_one = self.uadb.ua_semiring.certain_annotation(
             self.uadb.base_semiring.one)
         # Number the lines so two identical plan lines stay distinct rows
@@ -1055,8 +1082,12 @@ class Connection:
         then returns a dictionary with the optimized ``plan`` (one entry per
         operator: ``depth``, ``operator``, ``estimated_rows``), the
         ``estimated_rows`` of the whole query and the ``engine`` it would
-        dispatch to.  The SQL form ``EXPLAIN SELECT ...`` returns the same
-        information as a ``(step, detail)`` relation.
+        dispatch to.  In ``"attribute"`` mode it also reports
+        ``range_joins`` -- how many joins still match on range overlap, which
+        no engine can hash or index, because a key column holds an uncertain
+        fragment -- and ``certain_columns``, the result columns known
+        collapsed on every row.  The SQL form ``EXPLAIN SELECT ...`` returns
+        the same information as a ``(step, detail)`` relation.
         """
         if mode not in self.MODES:
             raise SessionError(f"unknown compilation mode {mode!r}")
@@ -1064,7 +1095,7 @@ class Connection:
         if entry.kind not in ("select", "explain"):
             raise SessionError("explain() expects a SELECT statement")
         with self._locking.read():
-            report = self._explain_report(entry.plan, entry.mode)
+            report = self._explain_report(entry)
         report["sql"] = sql
         return report
 
@@ -1146,7 +1177,7 @@ class Connection:
         if mode == "rewritten":
             database = self.encoded
         elif mode == "attribute":
-            database = self._attribute_database()
+            database = self._attribute_execution()[0]
         else:
             database = self.uadb.database
         try:

@@ -38,7 +38,9 @@ Tuple-level UA annotations are the degenerate case: collapsed ranges
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.db.relation import KRelation, Row, _row_sort_key, render_table
 from repro.db.schema import Attribute, DataType, RelationSchema
@@ -156,6 +158,7 @@ class AttributeBoundsRelation:
     def __init__(self, schema: RelationSchema,
                  data: Optional[Dict[RangeRow, Multiplicity]] = None) -> None:
         self.schema = schema
+        self._names = schema.attribute_names
         self._data: Dict[RangeRow, Multiplicity] = {}
         if data:
             for ranges, multiplicity in data.items():
@@ -189,10 +192,9 @@ class AttributeBoundsRelation:
             raise RangeError(
                 f"expected {self.schema.arity} ranges for "
                 f"{self.schema.name!r}, got {len(ranges)}")
-        names = self.schema.attribute_names
         checked = tuple(
-            check_range(names[i], _coerce_range(value))
-            for i, value in enumerate(ranges))
+            check_range(name, _coerce_range(value))
+            for name, value in zip(self._names, ranges))
         triple = check_multiplicity(tuple(multiplicity))
         if triple[2] == 0:
             return
@@ -266,12 +268,25 @@ class AttributeBoundsRelation:
                 seen.add(tuple(r[1] for r in ranges))
         return sorted(seen, key=_row_sort_key)
 
+    def certain_attributes(self) -> FrozenSet[str]:
+        """Attributes whose every stored range is collapsed or all-NULL.
+
+        Exact, from the data (one pass); an empty relation reports every
+        attribute.  The range rewriter compiles such a column to its
+        best-guess value alone.
+        """
+        names = self._names
+        certain = set(range(len(names)))
+        for ranges in self._data:
+            certain.difference_update(
+                [i for i in certain if ranges[i][0] != ranges[i][2]])
+        return frozenset(names[i] for i in certain)
+
     def check_invariant(self) -> None:
         """Re-validate every fragment (ranges ordered, multiplicities ordered)."""
-        names = self.schema.attribute_names
         for ranges, multiplicity in self._data.items():
-            for i, bounds in enumerate(ranges):
-                check_range(names[i], bounds)
+            for name, bounds in zip(self._names, ranges):
+                check_range(name, bounds)
             check_multiplicity(multiplicity)
 
     # -- comparisons ---------------------------------------------------------
@@ -416,17 +431,19 @@ def decode_attribute_relation(relation: KRelation,
             f"encoded arity {relation.schema.arity} does not match "
             f"{logical.arity} logical attributes")
     result = AttributeBoundsRelation(logical)
+    positions = range(0, 3 * logical.arity, 3)
     for row, annotation in relation.items():
         weight = annotation if isinstance(annotation, int) else 1
         weight = int(weight)
         if weight <= 0:
             continue
-        ranges = tuple((row[3 * i + 1], row[3 * i], row[3 * i + 2])
-                       for i in range(logical.arity))
-        low, best, high = row[-3], row[-2], row[-1]
-        triple = check_multiplicity((low, best, high))
-        result.add_bounded(ranges, (weight * triple[0], weight * triple[1],
-                                    weight * triple[2]))
+        ranges = tuple((row[i + 1], row[i], row[i + 2]) for i in positions)
+        triple = row[-3:]
+        if weight != 1:
+            low, best, high = check_multiplicity(triple)
+            triple = (weight * low, weight * best, weight * high)
+        # add_bounded validates every range and the (weighted) triple.
+        result.add_bounded(ranges, triple)
     return result
 
 

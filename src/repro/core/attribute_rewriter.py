@@ -16,6 +16,19 @@ projection; the mapping from logical column names (and qualifiers) to
 positions travels separately.  That keeps joins, unions and decoding
 purely positional.
 
+Columns that cannot be uncertain compile by their best-guess column alone.
+The caller passes, per relation, the attributes whose every stored range
+is collapsed; such a column resolves to one expression for lower, best
+and upper, so a comparison of two of them is one plain predicate (an
+equality join stays an equality join), ``*`` is one product, and the
+multiplicity guards vanish where they repeat the filter.  The rule: *a
+column may be flagged certain at an operator only if every row reaching
+that operator has* ``lb = best = ub`` *or all NULL in it; false is always
+safe and yields exactly the general range plan.*  The flag survives
+qualification, selection, join and DISTINCT, holds for a projected
+expression iff its triple is one expression, for a UNION ALL column iff
+both arms have it, and never for an aggregate result.
+
 Soundness contract (checked by the world-enumeration oracle in
 ``tests/differential.py``):
 
@@ -42,7 +55,7 @@ columns non-NULL (the AU-DB papers make the same simplification).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Collection, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.attribute_bounds import (
     LOWER_SUFFIX,
@@ -104,20 +117,38 @@ class AttributeRewrite:
     ``plan`` evaluates over the attribute-encoded database; its output
     follows the canonical triple layout.  ``columns`` names the logical
     output columns positionally (column ``i`` occupies encoded positions
-    ``3*i .. 3*i+2``).
+    ``3*i .. 3*i+2``).  ``range_joins`` counts the joins whose possible
+    predicate still tests range overlap between the two sides (no engine
+    can hash or index those); ``certain_columns`` names the output columns
+    known to be collapsed on every row.
     """
 
     plan: Operator
     columns: Tuple[str, ...]
+    range_joins: int = 0
+    certain_columns: Tuple[str, ...] = ()
 
 
 # A logical column visible at some point of the plan: its SQL name, the
-# qualifier it resolves under, and the physical qualifier (side of a join)
-# its canonical columns currently live behind.
+# qualifier it resolves under, and whether it cannot be uncertain there.
+# Soundness rule for ``certain``: the flag may be true only if every row
+# reaching that operator has lb = best = ub, or all NULL, in the column;
+# false is always safe and yields exactly the general range plan.
 @dataclass(frozen=True)
 class _Col:
     name: str
     qualifier: Optional[str]
+    certain: bool = False
+
+
+@dataclass
+class _Context:
+    """What one rewrite reads (catalog, per-relation certain attributes)
+    and what it counts on the way."""
+
+    catalog: DatabaseSchema
+    certain: Mapping[str, Collection[str]]
+    range_joins: int = 0
 
 
 def _val(i: int) -> str:
@@ -153,6 +184,21 @@ def _when(condition: Expression, then: Expression,
     return Case(((condition, then),), otherwise)
 
 
+def _collapsed(triple: Tuple[Expression, Expression, Expression]) -> bool:
+    """One expression three times: the bounds cannot differ on any row."""
+    return triple[0] == triple[1] == triple[2]
+
+
+def _guard(condition: Expression, possible: Expression,
+           multiplicity: Expression) -> Expression:
+    """``multiplicity`` where ``condition`` holds, else 0 -- evaluated on rows
+    already filtered on ``possible``, so a structurally equal condition
+    needs no CASE."""
+    if condition == possible:
+        return multiplicity
+    return _when(condition, multiplicity, _ZERO)
+
+
 class _Compiler:
     """Compiles logical expressions against a canonical column layout.
 
@@ -169,6 +215,9 @@ class _Compiler:
         self.sides = list(sides) if sides is not None else [None] * len(self.cols)
         self.physical = (list(physical) if physical is not None
                          else list(range(len(self.cols))))
+        #: Set when a comparison between the two sides of a join had to
+        #: compile to its range form.
+        self.range_test_across_sides = False
 
     def _resolve(self, column: Column) -> int:
         name = column.name.lower()
@@ -197,8 +246,10 @@ class _Compiler:
             index = self._resolve(expr)
             side = self.sides[index]
             local = self.physical[index]
-            return (Column(_vlb(local), side), Column(_val(local), side),
-                    Column(_vub(local), side))
+            best = Column(_val(local), side)
+            if self.cols[index].certain:
+                return (best, best, best)
+            return (Column(_vlb(local), side), best, Column(_vub(local), side))
         if isinstance(expr, (Literal, Parameter)):
             return (expr, expr, expr)
         if isinstance(expr, Negate):
@@ -216,6 +267,9 @@ class _Compiler:
                         Arithmetic("-", left[1], right[1]),
                         Arithmetic("-", left[2], right[0]))
             if expr.op == "*":
+                if _collapsed(left) and _collapsed(right):
+                    product = Arithmetic("*", left[1], right[1])
+                    return (product, product, product)
                 products = tuple(
                     Arithmetic("*", a, b)
                     for a in (left[0], left[2]) for b in (right[0], right[2]))
@@ -278,9 +332,17 @@ class _Compiler:
             f"predicate {expr.to_sql()} is outside the attribute-level fragment")
 
     def _comparison(self, expr: Comparison) -> Tuple[Expression, Expression, Expression]:
-        l_lb, l_bg, l_ub = self.value(expr.left)
-        r_lb, r_bg, r_ub = self.value(expr.right)
+        left = self.value(expr.left)
+        right = self.value(expr.right)
+        l_lb, l_bg, l_ub = left
+        r_lb, r_bg, r_ub = right
         best = Comparison(expr.op, l_bg, r_bg)
+        if _collapsed(left) and _collapsed(right):
+            # The per-world truth: no range form, and none of its Kleene
+            # unknowns on operands a plain comparison decides.
+            return (best, best, best)
+        if len({column.qualifier for column in best.columns()}) > 1:
+            self.range_test_across_sides = True
         op = "<>" if expr.op == "!=" else expr.op
         if op in ("<", "<=", ">", ">="):
             if op in (">", ">="):
@@ -311,38 +373,47 @@ class _Compiler:
 # Operator rewrites.
 # ---------------------------------------------------------------------------
 
-def rewrite_attribute_plan(plan: Operator,
-                           catalog: DatabaseSchema) -> AttributeRewrite:
+def rewrite_attribute_plan(
+        plan: Operator, catalog: DatabaseSchema,
+        certain: Optional[Mapping[str, Collection[str]]] = None,
+) -> AttributeRewrite:
     """Compile a logical plan into a range-propagating physical plan.
 
     ``catalog`` holds the attribute-encoded schemas the plan's relation
-    references resolve against.  Raises :class:`AttributeRewriteError`
-    when the plan uses operators or expressions outside the supported
-    fragment.
+    references resolve against.  ``certain`` maps a relation's name to the
+    attributes whose every stored range is collapsed (see
+    :meth:`AttributeBoundsRelation.certain_attributes`); such a column
+    compares, joins and multiplies by its best-guess column alone, and
+    with nothing known every column takes the general range forms.  Raises
+    :class:`AttributeRewriteError` when the plan uses operators or
+    expressions outside the supported fragment.
     """
-    rewritten, cols = _rewrite(plan, catalog)
-    return AttributeRewrite(rewritten, tuple(col.name for col in cols))
+    ctx = _Context(catalog, certain or {})
+    rewritten, cols = _rewrite(plan, ctx)
+    return AttributeRewrite(
+        rewritten, tuple(col.name for col in cols), ctx.range_joins,
+        tuple(col.name for col in cols if col.certain))
 
 
-def _rewrite(plan: Operator,
-             catalog: DatabaseSchema) -> Tuple[Operator, List[_Col]]:
+def _rewrite(plan: Operator, ctx: _Context) -> Tuple[Operator, List[_Col]]:
     if isinstance(plan, RelationRef):
-        return _rewrite_relation(plan, catalog)
+        return _rewrite_relation(plan, ctx)
     if isinstance(plan, Qualify):
-        child, cols = _rewrite(plan.child, catalog)
-        return child, [_Col(col.name, plan.qualifier) for col in cols]
+        child, cols = _rewrite(plan.child, ctx)
+        return child, [_Col(col.name, plan.qualifier, col.certain)
+                       for col in cols]
     if isinstance(plan, Selection):
-        return _rewrite_selection(plan, catalog)
+        return _rewrite_selection(plan, ctx)
     if isinstance(plan, Projection):
-        return _rewrite_projection(plan, catalog)
+        return _rewrite_projection(plan, ctx)
     if isinstance(plan, (Join, CrossProduct)):
-        return _rewrite_join(plan, catalog)
+        return _rewrite_join(plan, ctx)
     if isinstance(plan, Union):
-        return _rewrite_union(plan, catalog)
+        return _rewrite_union(plan, ctx)
     if isinstance(plan, Distinct):
-        return _rewrite_distinct(plan, catalog)
+        return _rewrite_distinct(plan, ctx)
     if isinstance(plan, Aggregate):
-        return _rewrite_aggregate(plan, catalog)
+        return _rewrite_aggregate(plan, ctx)
     raise AttributeRewriteError(
         f"{type(plan).__name__} is outside the attribute-level fragment")
 
@@ -363,9 +434,9 @@ def _value_items(count: int, qualifier: Optional[str] = None,
 
 
 def _rewrite_relation(ref: RelationRef,
-                      catalog: DatabaseSchema) -> Tuple[Operator, List[_Col]]:
+                      ctx: _Context) -> Tuple[Operator, List[_Col]]:
     try:
-        encoded = catalog.get(ref.name)
+        encoded = ctx.catalog.get(ref.name)
     except SchemaError as exc:
         raise AttributeRewriteError(str(exc)) from exc
     try:
@@ -382,41 +453,43 @@ def _rewrite_relation(ref: RelationRef,
         items.append((Column(marker), out))
     plan = Projection(RelationRef(ref.name), tuple(items))
     qualifier = ref.effective_name
-    cols = [_Col(attribute.name, qualifier) for attribute in logical.attributes]
+    known = ctx.certain.get(encoded.name, ())
+    cols = [_Col(attribute.name, qualifier, attribute.name in known)
+            for attribute in logical.attributes]
     return plan, cols
 
 
 def _rewrite_selection(node: Selection,
-                       catalog: DatabaseSchema) -> Tuple[Operator, List[_Col]]:
-    child, cols = _rewrite(node.child, catalog)
+                       ctx: _Context) -> Tuple[Operator, List[_Col]]:
+    child, cols = _rewrite(node.child, ctx)
     possible, certain, best = _Compiler(cols).predicate(node.predicate)
     items = _value_items(len(cols))
-    items.append((_when(certain, Column(M_LB), _ZERO), M_LB))
-    items.append((_when(best, Column(M_BG), _ZERO), M_BG))
+    items.append((_guard(certain, possible, Column(M_LB)), M_LB))
+    items.append((_guard(best, possible, Column(M_BG)), M_BG))
     items.append((Column(M_UB), M_UB))
     return Projection(Selection(child, possible), tuple(items)), cols
 
 
 def _rewrite_projection(node: Projection,
-                        catalog: DatabaseSchema) -> Tuple[Operator, List[_Col]]:
-    child, cols = _rewrite(node.child, catalog)
+                        ctx: _Context) -> Tuple[Operator, List[_Col]]:
+    child, cols = _rewrite(node.child, ctx)
     compiler = _Compiler(cols)
     items: List[Tuple[Expression, str]] = []
     out_cols: List[_Col] = []
     for index, (expr, name) in enumerate(node.items):
-        low, best, high = compiler.value(expr)
+        low, best, high = triple = compiler.value(expr)
         items.append((best, _val(index)))
         items.append((low, _vlb(index)))
         items.append((high, _vub(index)))
-        out_cols.append(_Col(name, None))
+        out_cols.append(_Col(name, None, _collapsed(triple)))
     items.extend(_mult_items())
     return Projection(child, tuple(items)), out_cols
 
 
 def _rewrite_join(node: "Join | CrossProduct",
-                  catalog: DatabaseSchema) -> Tuple[Operator, List[_Col]]:
-    left, lcols = _rewrite(node.left, catalog)
-    right, rcols = _rewrite(node.right, catalog)
+                  ctx: _Context) -> Tuple[Operator, List[_Col]]:
+    left, lcols = _rewrite(node.left, ctx)
+    right, rcols = _rewrite(node.right, ctx)
     cols = lcols + rcols
     sides = ["__l"] * len(lcols) + ["__r"] * len(rcols)
     physical = list(range(len(lcols))) + list(range(len(rcols)))
@@ -430,9 +503,11 @@ def _rewrite_join(node: "Join | CrossProduct",
         mult = list(zip(products, (M_LB, M_BG, M_UB)))
     else:
         possible, certain, best = compiler.predicate(predicate)
+        if compiler.range_test_across_sides:
+            ctx.range_joins += 1
         joined = Join(Qualify(left, "__l"), Qualify(right, "__r"), possible)
-        mult = [(_when(certain, products[0], _ZERO), M_LB),
-                (_when(best, products[1], _ZERO), M_BG),
+        mult = [(_guard(certain, possible, products[0]), M_LB),
+                (_guard(best, possible, products[1]), M_BG),
                 (products[2], M_UB)]
     items = (_value_items(len(lcols), "__l")
              + _value_items(len(rcols), "__r", offset=len(lcols))
@@ -441,18 +516,20 @@ def _rewrite_join(node: "Join | CrossProduct",
 
 
 def _rewrite_union(node: Union,
-                   catalog: DatabaseSchema) -> Tuple[Operator, List[_Col]]:
-    left, lcols = _rewrite(node.left, catalog)
-    right, rcols = _rewrite(node.right, catalog)
+                   ctx: _Context) -> Tuple[Operator, List[_Col]]:
+    left, lcols = _rewrite(node.left, ctx)
+    right, rcols = _rewrite(node.right, ctx)
     if len(lcols) != len(rcols):
         raise AttributeRewriteError(
             f"UNION arms have different arity ({len(lcols)} vs {len(rcols)})")
-    return Union(left, right), [_Col(col.name, None) for col in lcols]
+    return Union(left, right), [
+        _Col(lcol.name, None, lcol.certain and rcol.certain)
+        for lcol, rcol in zip(lcols, rcols)]
 
 
 def _rewrite_distinct(node: Distinct,
-                      catalog: DatabaseSchema) -> Tuple[Operator, List[_Col]]:
-    child, cols = _rewrite(node.child, catalog)
+                      ctx: _Context) -> Tuple[Operator, List[_Col]]:
+    child, cols = _rewrite(node.child, ctx)
     count = len(cols)
     # Group fragments by their best-guess row; the output tuple spans the
     # group's range hull, so every world tuple a member fragment can
@@ -481,8 +558,8 @@ def _rewrite_distinct(node: Distinct,
 # -- aggregation -------------------------------------------------------------
 
 def _rewrite_aggregate(node: Aggregate,
-                       catalog: DatabaseSchema) -> Tuple[Operator, List[_Col]]:
-    child, ccols = _rewrite(node.child, catalog)
+                       ctx: _Context) -> Tuple[Operator, List[_Col]]:
+    child, ccols = _rewrite(node.child, ctx)
     compiler = _Compiler(ccols)
     n_groups = len(node.group_by)
 
