@@ -23,6 +23,7 @@ transparently (see :class:`~repro.api.cache.PlanCache`).
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import re
@@ -37,6 +38,7 @@ from typing import (
 
 from repro.db import algebra
 from repro.db.database import Database
+from repro.db.engine import get_engine
 from repro.db.evaluator import _optimize_default, evaluate
 from repro.db.expressions import Parameter, RowEnvironment
 from repro.db.params import (
@@ -399,12 +401,17 @@ class Connection:
         self._attribute_relations: Dict[str, AttributeBoundsRelation] = {}
         #: Their encoded (triple-layout) counterparts, by name.
         self._attribute_encoded: Dict[str, KRelation] = {}
-        # Lazily built state for "attribute"-mode plans, one slot swapped
-        # in one assignment: the (catalog, stats) versions it was derived
-        # under, the execution database, and each relation's certain
-        # attributes (what the range rewriter may compile by equality).
-        self._attribute_state: Optional[Tuple[
-            Tuple[int, int], Database, Dict[str, FrozenSet[str]]]] = None
+        #: The execution database of ``"attribute"``-mode plans, filled and
+        #: kept current per relation by :meth:`_attribute_execution`.
+        self._attribute_database = Database(semiring, f"{name}_attr",
+                                            engine=engine)
+        self._attribute_database.stats = self.stats
+        #: Per relation in it: the source it was derived from and that
+        #: source's mutation count at the time (its fingerprint), and the
+        #: attributes no stored range leaves uncertain (what the range
+        #: rewriter may compile by equality).
+        self._attribute_sources: Dict[str, Tuple[KRelation, int]] = {}
+        self._attribute_certain: Dict[str, FrozenSet[str]] = {}
         self._closed = False
         if self.store is not None:
             self._load_from_store()
@@ -511,9 +518,13 @@ class Connection:
     def _bump_stats_version(self) -> None:
         """Advance the statistics version (same precedence as the catalog's).
 
-        Called after anything that changes table statistics -- INSERTs and
-        registrations -- so cached plans whose join order or engine choice
-        was derived from the old statistics are recompiled.
+        Called after anything that changes the data -- INSERTs and
+        registrations.  It is the data version other readers go by: cached
+        plans (whose join order was chosen under the old sizes) and the
+        fleet's result cache die on it.  It invalidates nothing of the
+        writer's own: the store table, the statistics, the engine's mirror
+        and the attribute encoding were each advanced by the write itself,
+        so the next read recompiles one plan and recollects nothing.
         """
         if self.store is not None:
             self.store.bump_stats_version()
@@ -628,32 +639,80 @@ class Connection:
         """The execution database backing ``"attribute"``-mode plans, and
         per relation the attributes no stored range leaves uncertain.
 
-        The database holds the triple-layout encoding of the native
-        attribute relations plus a derived encoding of every tuple-level UA
-        relation (all of whose attributes are therefore certain); both are
-        rebuilt together, lazily, whenever the catalog or the data
-        (statistics version) changed -- the key cached plans also die on,
-        so no plan compiled against the map outlives the data it
-        describes.  Callers hold the session's read lock.
+        One database for the session's life.  It holds the triple-layout
+        encoding of the native attribute relations plus a derived encoding
+        of every tuple-level UA relation (all of whose attributes are
+        therefore certain).  Each entry is fingerprinted against its source
+        (identity + mutation count) and re-derived, alone, only when that
+        source is new or was mutated out of band: the session's own inserts
+        append to the entry and advance the fingerprint
+        (:meth:`_append_attribute_rows`), so the warm route is one check
+        per relation.  Every write that changes the map also bumps a
+        version cached plans die on, so no plan compiled against it
+        outlives the data it describes.  Callers hold the session's read
+        lock.
         """
-        key = (self.catalog_version, self.stats_version)
-        state = self._attribute_state
-        if state is None or state[0] != key:
-            database = Database(self.semiring, f"{self.name}_attr",
-                                engine=self.engine)
-            certain: Dict[str, FrozenSet[str]] = {}
-            for name, encoded in self._attribute_encoded.items():
-                database.add_relation(encoded)
-                certain[encoded.schema.name] = \
+        database = self._attribute_database
+        certain = self._attribute_certain
+        for name, encoded in self._attribute_encoded.items():
+            if not self._attribute_current(name, encoded):
+                database.add_relation(encoded, replace=True)
+                certain[name] = \
                     self._attribute_relations[name].certain_attributes()
-            for ua_relation in self.uadb:
+                self._attribute_sources[name] = (encoded, encoded._version)
+        for ua_relation in self.uadb:
+            name = ua_relation.schema.name
+            if not self._attribute_current(name, ua_relation):
                 bounds = AttributeBoundsRelation.from_ua_relation(ua_relation)
                 database.add_relation(
-                    encode_attribute_relation(bounds, self.semiring))
-                certain[bounds.schema.name] = bounds.certain_attributes()
-            database.stats = self.stats
-            state = self._attribute_state = (key, database, certain)
-        return state[1], state[2]
+                    encode_attribute_relation(bounds, self.semiring),
+                    replace=True)
+                certain[name] = bounds.certain_attributes()
+                self._attribute_sources[name] = (ua_relation,
+                                                 ua_relation._version)
+        return database, certain
+
+    def _attribute_current(self, name: str, source: KRelation) -> bool:
+        """True while ``name``'s attribute-mode entry describes ``source``."""
+        derived_from, version = self._attribute_sources.get(name, (None, -1))
+        return derived_from is source and version == source._version
+
+    def _new_attribute_rows(self, ua_relation: UARelation, rows: List[Row],
+                            annotations: Iterable[Any],
+                            ) -> Optional[UARelation]:
+        """What the insert of ``rows`` is about to add to ``ua_relation``'s
+        attribute-mode entry: the batch as a relation of its own.
+
+        None when the entry cannot simply grow -- it is absent or already
+        stale, or the batch raises the multiplicity of a stored tuple (whose
+        fragment would change) -- and is then left for the next
+        attribute-mode read to re-derive.
+        """
+        if not self._attribute_current(ua_relation.schema.name, ua_relation):
+            return None
+        added = UARelation(ua_relation.schema, ua_relation.ua_semiring)
+        for row, annotation in zip(rows, annotations):
+            added.add_validated(row, annotation)
+        if any(row in ua_relation for row in added):
+            return None
+        return added
+
+    def _append_attribute_rows(self, ua_relation: UARelation,
+                               added: UARelation) -> None:
+        """Append the encoding of ``added`` (:meth:`_new_attribute_rows`,
+        now inserted) to ``ua_relation``'s attribute-mode entry and advance
+        its fingerprint.  Every range of ``added`` is collapsed, so the
+        certain map stands."""
+        name = ua_relation.schema.name
+        derived = self._attribute_database.relation(name)
+        before = derived._version
+        rows = list(encode_attribute_relation(
+            AttributeBoundsRelation.from_ua_relation(added), self.semiring))
+        for row in rows:
+            derived.add_validated(row)
+        get_engine(self.engine).appended(
+            self._attribute_database, derived, before, rows)
+        self._attribute_sources[name] = (ua_relation, ua_relation._version)
 
     def tables(self) -> List[Dict[str, Any]]:
         """Catalog metadata for every registered relation, in creation order.
@@ -817,10 +876,9 @@ class Connection:
             raise SessionError(f"unknown compilation mode {mode!r}")
         parameters = plan_parameters(logical)
         if self._optimize_resolved():
-            # Re-read statistics another connection may have advanced and
-            # repair any relation mutated behind the session's back, so the
-            # join order is chosen from statistics matching the data.
-            self.stats.maybe_reload()
+            # Recollect any relation mutated behind the session's back, so
+            # the join order is chosen from statistics matching the data;
+            # the session's own writes left theirs current.
             self.stats.refresh(self.encoded)
             plan = optimize_plan(plan, optimize_catalog, stats=self.stats)
         return PreparedPlan(sql, "select", mode, self.catalog_version,
@@ -956,15 +1014,15 @@ class Connection:
         """
         base = self.uadb.base_semiring
         certain_one = self.uadb.ua_semiring.certain_annotation(base.one)
-        uncertain_one = self.uadb.ua_semiring.uncertain_annotation(base.one)
         if uncertain is None:
-            annotated = [(row, row + (1,), certain_one) for row in rows]
+            encoded_rows = [row + (1,) for row in rows]
+            annotations: Iterable[Any] = itertools.repeat(certain_one)
         else:
-            annotated = [
-                (row, row + (0 if flag else 1,),
-                 uncertain_one if flag else certain_one)
-                for row, flag in zip(rows, uncertain)
-            ]
+            uncertain_one = self.uadb.ua_semiring.uncertain_annotation(base.one)
+            encoded_rows = [row + (0 if flag else 1,)
+                            for row, flag in zip(rows, uncertain)]
+            annotations = [uncertain_one if flag else certain_one
+                           for flag in uncertain]
         with self._locking.write():
             # Resolved under the write lock: a fleet refresh (which also
             # holds this lock) may swap the catalog's relation objects for
@@ -975,29 +1033,42 @@ class Connection:
             # the in-memory mutation, so a refused INSERT (unbindable
             # values) raises with *no* state change anywhere -- and the
             # table stays append-only on this path (no wholesale reload).
-            persisted = self._persist_rows(
-                encoded_relation,
-                [(encoded_row, base.one) for _, encoded_row, _ in annotated]
-            )
-            for row, encoded_row, ua_annotation in annotated:
+            persisted = self._persist_rows(encoded_relation, encoded_rows)
+            # The writer advances every mirror of the table that described
+            # it until now -- store table, statistics, engine mirror,
+            # attribute encoding -- by the rows it adds; one already stale
+            # (out-of-band mutation) is left for its own repair.
+            stats_current = self.stats.fresh(encoded_relation)
+            attribute_rows = self._new_attribute_rows(ua_relation, rows,
+                                                      annotations)
+            before = encoded_relation._version
+            new_tuples: List[Row] = []
+            for row, encoded_row, ua_annotation in zip(rows, encoded_rows,
+                                                       annotations):
+                # The statistics count distinct tuples: fold only those
+                # the relation does not hold yet.
+                if encoded_row not in encoded_relation:
+                    new_tuples.append(encoded_row)
                 # The batch was validated above; skip per-add re-validation
                 # on the hot path.
                 ua_relation.add_validated(row, ua_annotation)
                 encoded_relation.add_validated(encoded_row, base.one)
             if persisted:
                 self.store.mark_synced(encoded_relation)
-            # Fold the inserted rows into the table statistics incrementally
-            # (no rescan) and advance the statistics version so cached plans
-            # whose join order/engine choice depended on the old sizes are
-            # recompiled.
-            self.stats.update_rows(
-                table, [encoded_row for _, encoded_row, _ in annotated])
-            self.stats.mark_current(encoded_relation)
+            if stats_current:
+                self.stats.update_rows(table, new_tuples)
+                self.stats.mark_current(encoded_relation)
+            get_engine(self.engine).appended(
+                self.encoded, encoded_relation, before, encoded_rows)
+            if attribute_rows is not None:
+                self._append_attribute_rows(ua_relation, attribute_rows)
+            # The data version other readers go by (cached plans, the
+            # fleet's result cache).
             self._bump_stats_version()
         return len(rows)
 
     def _persist_rows(self, encoded_relation: KRelation,
-                      encoded_rows: List[Tuple[Row, Any]]) -> bool:
+                      encoded_rows: List[Row]) -> bool:
         """Durably write inserted rows ahead of the in-memory mutation.
 
         The hot path is an incremental append; a stale fingerprint
@@ -1011,7 +1082,9 @@ class Connection:
         try:
             if not self.store.fresh(encoded_relation):
                 self.store.save(encoded_relation)
-            self.store.append(encoded_relation, encoded_rows)
+            one = self.semiring.one
+            self.store.append(encoded_relation,
+                              ((row, one) for row in encoded_rows))
             return True
         except UnstorableRelationError as error:
             if not self._store_auto:
@@ -1032,7 +1105,6 @@ class Connection:
     def _explain_report(self, entry: PreparedPlan) -> Dict[str, Any]:
         """The structured EXPLAIN payload for an already-optimized plan."""
         from repro.db import cost
-        from repro.db.engine import get_engine
 
         plan_lines = [
             {"depth": depth, "operator": describe, "estimated_rows": rows}
@@ -1164,7 +1236,6 @@ class Connection:
         when the plan falls outside the compilable fragment (the engine
         would fall back for it).
         """
-        from repro.db.engine import get_engine
         from repro.db.engine.compiler import NotSupportedError
 
         entry = self._entry(sql, mode)

@@ -12,13 +12,13 @@ theorems) can be validated on one engine and performance measured on another.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db import algebra
     from repro.db.database import Database
     from repro.db.params import Params
-    from repro.db.relation import KRelation
+    from repro.db.relation import KRelation, Row
 
 
 class EvaluationError(RuntimeError):
@@ -66,6 +66,17 @@ class ExecutionEngine(ABC):
         ``params`` carries the values for the plan's placeholders (a sequence
         for positional ``?``, a mapping for named ``:name``); ``None`` for a
         plan without placeholders.
+        """
+
+    def appended(self, database: "Database", relation: "KRelation",
+                 before: int, rows: "List[Row]") -> None:
+        """A writer reports that adding ``rows``, each once (annotated with
+        the semiring's one), took ``relation`` of ``database`` from
+        mutation count ``before`` to its current one.
+
+        An engine that mirrors the data applies them instead of reloading
+        the relation at its next read; engines that read the relations in
+        place (the default) have nothing to do.
         """
 
     @staticmethod

@@ -18,7 +18,9 @@ Everything expensive is cached and reused across executions:
 * **connections and tables** -- one ``:memory:`` connection per
   :class:`Database` (weakly keyed, so dropped databases free their store),
   with per-relation fingerprints (object identity + mutation counter) that
-  reload a table only when the catalog or its contents actually changed;
+  reload a table only when the catalog or its contents changed out of
+  band; a writer that reports the rows it added (:meth:`SQLiteEngine.appended`)
+  has them appended at the next read instead;
 * **prepared statements** -- ``sqlite3`` keeps a per-connection statement
   cache, so re-executing the same SQL text skips SQLite's own parser too.
 
@@ -53,7 +55,7 @@ from repro.db import algebra
 from repro.db.database import Database
 from repro.db.expressions import Parameter
 from repro.db.params import ParameterBinder, Params, check_bindings
-from repro.db.relation import KRelation
+from repro.db.relation import KRelation, Row
 from repro.db.engine.base import ExecutionEngine
 from repro.db.engine.common import resolve_limit_count, write_enc_table
 from repro.db.engine.compiler import (
@@ -76,15 +78,21 @@ class _TableState:
     data is shared, not copied.  ``error`` records a failed load (values
     SQLite cannot store), so later executions skip the doomed re-load and
     fall back immediately until the relation actually changes.
+
+    ``pending`` holds rows a writer reported adding (each once) since
+    ``version`` and ``through`` the mutation count they lead up to: the
+    table is those rows short of the relation at ``through``.
     """
 
-    __slots__ = ("relation", "version", "error")
+    __slots__ = ("relation", "version", "error", "pending", "through")
 
     def __init__(self, relation: KRelation, version: int,
                  error: "NotSupportedError | None" = None) -> None:
         self.relation = relation
         self.version = version
         self.error = error
+        self.pending: List[Row] = []
+        self.through = version
 
     def fresh(self, relation: KRelation) -> bool:
         return self.relation is relation and self.version == relation._version
@@ -113,7 +121,46 @@ class _SQLiteStore:
                 if state.error is not None:
                     raise state.error
                 continue
-            self._load(name, relation)
+            if state is None or not self._append(name, state, relation):
+                self._load(name, relation)
+
+    def appended(self, relation: KRelation, before: int,
+                 rows: List[Row]) -> None:
+        """The writer's half of the fingerprint: adding ``rows``, each once,
+        took ``relation`` from mutation count ``before`` to where it is now.
+
+        A table that mirrors the relation at ``before`` (counting rows
+        already owed to it) is owed these too and takes them at the next
+        :meth:`refresh`; any other table is stale anyway and reloads.
+        """
+        with self.lock:
+            state = self.tables.get(relation.schema.name.lower())
+            if (state is not None and state.relation is relation
+                    and state.error is None and state.through == before):
+                state.pending.extend(rows)
+                state.through = relation._version
+
+    def _append(self, name: str, state: _TableState,
+                relation: KRelation) -> bool:
+        """Bring a table up to date by its pending rows alone; False when
+        they do not account for the relation's state (or do not bind)."""
+        if (state.relation is not relation or not state.pending
+                or state.through != relation._version):
+            return False
+        placeholders = ", ".join(["?"] * (relation.schema.arity + 1))
+        one = (self.ops.encode(relation.semiring.one),)
+        try:
+            self.connection.executemany(
+                f"INSERT INTO {table_name(name)} VALUES ({placeholders})",
+                (row + one for row in state.pending),
+            )
+        except (sqlite3.Error, OverflowError, TypeError, ValueError):
+            self.connection.rollback()
+            return False
+        self.connection.commit()
+        state.pending = []
+        state.version = state.through
+        return True
 
     def _load(self, name: str, relation: KRelation) -> None:
         version = relation._version
@@ -184,6 +231,11 @@ class _PersistentStoreAdapter:
         for name in names:
             self.store.sync(name, database.relation(name))
 
+    def appended(self, relation: KRelation, before: int,
+                 rows: List[Row]) -> None:
+        """Nothing to queue: the session appended to the store itself
+        (``UADBStore.append`` + ``mark_synced``)."""
+
 
 class SQLiteEngine(ExecutionEngine):
     """Compiles plans to SQL and executes them natively on stdlib SQLite."""
@@ -248,6 +300,13 @@ class SQLiteEngine(ExecutionEngine):
         if isinstance(compiled, NotSupportedError):
             raise compiled
         return compiled.sql
+
+    def appended(self, database: Database, relation: KRelation, before: int,
+                 rows: List[Row]) -> None:
+        with self._lock:
+            store = self._stores.get(database)
+        if store is not None:
+            store.appended(relation, before, rows)
 
     def stats(self) -> Dict[str, int]:
         """Cache/fallback counters for observability and tests."""

@@ -14,12 +14,14 @@ needs:
 Statistics are collected in one pass on registration
 (:meth:`StatsCatalog.collect`) and maintained *incrementally* on ``INSERT``
 (:meth:`StatsCatalog.update_rows`) -- the sketches are mergeable, so the
-insert path never rescans the table.  Coherence with the relation contents
-uses the same fingerprint discipline as the storage layer: every
-:class:`TableStats` remembers the :class:`~repro.db.relation.KRelation`
-identity and mutation counter (``_version``) it describes, and
-:meth:`StatsCatalog.fresh` / :meth:`StatsCatalog.refresh` detect and repair
-out-of-band mutations.
+insert path never rescans the table, and the fold is exact: folding the
+tuples new to a relation leaves the same statistics a recount would.
+Coherence with the relation contents uses the same fingerprint discipline
+as the storage layer: every :class:`TableStats` remembers the
+:class:`~repro.db.relation.KRelation` identity and mutation counter
+(``_version``) it describes, the writer that folded its rows in advances
+that fingerprint (:meth:`StatsCatalog.mark_current`), and
+:meth:`StatsCatalog.refresh` recollects only a relation mutated out of band.
 
 Persistence rides in the WAL store (the ``uadb_stats`` table, see
 :meth:`repro.api.store.UADBStore.save_stats`): statistics survive the
@@ -35,6 +37,8 @@ correctly after a reload.
 from __future__ import annotations
 
 import json
+import logging
+import sqlite3
 import zlib
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -54,6 +58,14 @@ SKETCH_SIZE = 256
 
 #: The hash space of :func:`zlib.crc32` (the KMV scale factor).
 _HASH_SPACE = 2 ** 32
+
+#: What a failed statistics round trip raises: sqlite3 itself (locked,
+#: full or read-only file) or the store's ``StoreError`` (closed or
+#: unreadable store) -- a RuntimeError, named by its base class because
+#: :mod:`repro.api.store` sits above this package.
+_STORE_ERRORS = (sqlite3.Error, RuntimeError)
+
+logger = logging.getLogger(__name__)
 
 
 def _stable_hash(value: Any) -> int:
@@ -249,11 +261,13 @@ class TableStats:
         return stats
 
     def update_rows(self, rows: Iterable[Row]) -> None:
-        """Incrementally account newly inserted rows.
+        """Incrementally account ``rows``, each a tuple new to the relation.
 
-        ``row_count`` treats every inserted row as new; an insert that only
-        raises the multiplicity of an existing tuple over-counts by one --
-        an acceptable estimation error that a later :meth:`refresh` repairs.
+        Every statistic counts distinct tuples and merges in any order, so
+        folding exactly the new tuples equals a recount.  The caller leaves
+        out rows the relation already holds (an insert that only raises a
+        multiplicity): nothing recollects behind the fold to take them back
+        out of ``row_count`` / ``value_count`` / ``null_count``.
         """
         column_stats = list(self.columns.values())
         count = 0
@@ -315,7 +329,9 @@ class StatsCatalog:
     def __init__(self, store: Optional[object] = None) -> None:
         self._tables: Dict[str, TableStats] = {}
         self._store = store
-        self._loaded_version = -1
+        #: Store reads/writes of statistics that failed (logged once; the
+        #: in-memory statistics stay authoritative for this session).
+        self.persist_failures = 0
         if store is not None:
             self.reload()
 
@@ -366,7 +382,8 @@ class StatsCatalog:
         return self.collect(relation)
 
     def mark_current(self, relation: KRelation) -> None:
-        """Re-pin ``relation``'s statistics after the in-memory mutation."""
+        """Re-pin ``relation``'s statistics after the in-memory mutation:
+        the writer that folded its rows in advances the fingerprint."""
         stats = self._tables.get(relation.schema.name.lower())
         if stats is not None:
             stats.pin(relation)
@@ -377,11 +394,12 @@ class StatsCatalog:
         return stats is not None and stats.fresh(relation)
 
     def refresh(self, database) -> None:
-        """Repair statistics for any relation mutated out of band.
+        """Recollect statistics for any relation mutated out of band.
 
         The fast path is one fingerprint check per relation (the same
-        discipline as the store's table sync), so calling this per query is
-        cheap.
+        discipline as the store's table sync), so calling this per compile
+        is cheap; the session's own inserts keep the fingerprint current
+        and never reach :meth:`collect` here.
         """
         for relation in database:
             if not self.fresh(relation):
@@ -393,46 +411,51 @@ class StatsCatalog:
 
     # -- persistence ----------------------------------------------------------
 
+    def _persist_failed(self, action: str, error: Exception) -> None:
+        """Count a failed store round trip; statistics loss is never fatal."""
+        if not self.persist_failures:
+            logger.warning("could not %s table statistics (%s); "
+                           "in-memory statistics stay in use", action, error)
+        self.persist_failures += 1
+
     def _persist(self, stats: TableStats) -> None:
         if self._store is None:
             return
         try:
             self._store.save_stats(stats.name, stats.to_json())
-        except Exception:  # pragma: no cover - stats loss is never fatal
-            pass
+        except _STORE_ERRORS as error:
+            self._persist_failed("persist", error)
 
     def reload(self) -> None:
-        """Load persisted statistics from the store (reopen path)."""
+        """Load persisted statistics from the store (reopen / fleet refresh).
+
+        Loaded statistics start unpinned; the caller follows with
+        :meth:`adopt` per loaded relation.
+        """
         if self._store is None:
             return
         try:
             payloads = self._store.load_all_stats()
-        except Exception:  # pragma: no cover - a statless store is fine
+        except _STORE_ERRORS as error:
+            self._persist_failed("load", error)
             return
         for name, payload in payloads.items():
             try:
                 self._tables[name.lower()] = TableStats.from_json(payload)
             except (ValueError, KeyError):
                 continue
-        self._loaded_version = getattr(self._store, "stats_version", -1)
-
-    def maybe_reload(self) -> None:
-        """Re-read persisted statistics when another connection advanced them."""
-        if self._store is None:
-            return
-        version = getattr(self._store, "stats_version", -1)
-        if version != self._loaded_version:
-            self.reload()
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """Row counts and per-column NDVs as a JSON-ready dict (for tests
-        and observability)."""
+        """Row counts and per-column NDV / null fraction / min / max as a
+        JSON-ready dict (for tests and observability)."""
         return {
             name: {
                 "row_count": stats.row_count,
                 "columns": {
                     column.name: {"ndv": column.ndv,
-                                  "null_fraction": column.null_fraction}
+                                  "null_fraction": column.null_fraction,
+                                  "minimum": column.minimum,
+                                  "maximum": column.maximum}
                     for column in stats.columns.values()
                 },
             }

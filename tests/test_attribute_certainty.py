@@ -233,11 +233,15 @@ def test_all_null_ranges_count_as_collapsed():
 
 
 def _assert_state_matches_data(connection):
-    key, database, certain = connection._attribute_state
-    assert key == (connection.catalog_version, connection.stats_version)
+    database, certain = connection._attribute_execution()
+    assert sorted(certain) == sorted(database.relation_names())
     for encoded in database:
+        name = encoded.schema.name
         decoded = decode_attribute_relation(encoded)
-        assert certain[encoded.schema.name] == decoded.certain_attributes()
+        assert certain[name] == decoded.certain_attributes()
+        if name in connection.uadb.database:
+            assert decoded == AttributeBoundsRelation.from_ua_relation(
+                connection.uadb.relation(name))
 
 
 def test_registration_and_insert_recompile_against_current_data():
@@ -247,14 +251,25 @@ def test_registration_and_insert_recompile_against_current_data():
         connection.execute("INSERT INTO r VALUES (1, 3)")
         first = connection.query_bounds("SELECT a, v FROM r")
         assert first.rows() == [(1, 3)]
-        stale = connection._attribute_state
+        database, _ = connection._attribute_execution()
+        derived = database.relation("r")
         _assert_state_matches_data(connection)
 
+        # The session's own insert appends to the entry it derived.
         connection.execute("INSERT INTO r VALUES (2, 8)")
         assert connection.query_bounds("SELECT a, v FROM r").rows() \
             == [(1, 3), (2, 8)]
-        assert connection._attribute_state is not stale
+        assert connection._attribute_execution()[0] is database
+        assert database.relation("r") is derived
         _assert_state_matches_data(connection)
+
+        # Raising a stored tuple's multiplicity changes its fragment, and
+        # an out-of-band mutation was never reported: both re-derive.
+        connection.execute("INSERT INTO r VALUES (2, 8)")
+        _assert_state_matches_data(connection)
+        connection.uadb.relation("r").add((5, 5))
+        _assert_state_matches_data(connection)
+        assert database.relation("r") is not derived
 
         connection.register_attribute_relation(_keyed_source((1, 1, 2)).native)
         report = connection.explain(_KEY_JOIN.to_sql(), mode="attribute")
@@ -262,7 +277,7 @@ def test_registration_and_insert_recompile_against_current_data():
         assert connection.query_bounds(_KEY_JOIN.to_sql()).rows() \
             == [(1, 3), (2, 8)]
         _assert_state_matches_data(connection)
-        assert connection._attribute_state[2]["t"] == frozenset()
+        assert connection._attribute_execution()[1]["t"] == frozenset()
     finally:
         connection.close()
 

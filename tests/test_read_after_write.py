@@ -1,0 +1,182 @@
+"""Read-after-write costs O(rows inserted), counted rather than timed.
+
+The session's own INSERT advances every mirror of the table it wrote --
+store table, statistics, the engine's in-memory mirror, the attribute
+encoding -- so the next read recollects, reloads and re-encodes nothing,
+however many rows the store holds.  Only a mutation nobody reported (made
+on the relation object directly) is repaired by a rebuild, and only of the
+table it touched.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import repro
+from repro.api import session as session_module
+from repro.db.engine.sqlite import SQLiteEngine
+from repro.db.stats import TableStats
+
+EVENTS = [(key, f"k{key % 7}", key % 100) for key in range(300)]
+OTHER = [(key, key % 13) for key in range(20_000)]
+READ = "SELECT id, kind, v FROM events WHERE id = ?"
+
+
+class _Counters:
+    """Counts the three whole-table rebuilds a read might trigger."""
+
+    def __init__(self, monkeypatch, engine: SQLiteEngine) -> None:
+        self.engine = engine
+        self.collected = []
+        self.encoded = []
+        collect = TableStats.collect.__func__
+        encode = session_module.encode_attribute_relation
+
+        def counting_collect(cls, relation):
+            self.collected.append(relation.schema.name)
+            return collect(cls, relation)
+
+        def counting_encode(relation, *args, **kwargs):
+            self.encoded.append((relation.schema.name, len(relation)))
+            return encode(relation, *args, **kwargs)
+
+        monkeypatch.setattr(TableStats, "collect",
+                            classmethod(counting_collect))
+        monkeypatch.setattr(session_module, "encode_attribute_relation",
+                            counting_encode)
+        self.reset()
+
+    def reset(self) -> None:
+        self.collected.clear()
+        self.encoded.clear()
+        self.loads = self.engine.stats()["table_loads"]
+
+    @property
+    def table_loads(self) -> int:
+        return self.engine.stats()["table_loads"] - self.loads
+
+
+def _open(path, annotation, engine, name="raw"):
+    if path is None:
+        return repro.connect(engine=engine, annotation=annotation, name=name)
+    return repro.connect(str(path), engine=engine, annotation=annotation,
+                         name=name)
+
+
+def _answer(connection, sql=READ, params=None):
+    result = connection.query(sql, params)
+    if connection.annotation == "attribute":
+        return result.bounded_rows()
+    return result.labeled_rows()
+
+
+@pytest.fixture(params=["memory", "store"])
+def path(request, tmp_path):
+    return None if request.param == "memory" else tmp_path / "raw.uadb"
+
+
+@pytest.fixture(params=["tuple", "attribute"])
+def session(request, path, monkeypatch):
+    engine = SQLiteEngine()
+    connection = _open(path, request.param, engine)
+    connection.execute("CREATE TABLE events (id INT, kind STRING, v INT)")
+    connection.execute("CREATE TABLE other (id INT, w INT)")
+    connection.load("events", EVENTS)
+    connection.load("other", OTHER)
+    # Warm both tables' mirrors and the read's plan.
+    assert len(connection.query("SELECT id FROM other WHERE w = 3")) > 0
+    assert len(_answer(connection, params=[5])) == 1
+    yield connection, _Counters(monkeypatch, engine)
+    connection.close()
+
+
+def test_own_insert_then_read_rebuilds_nothing(session, path):
+    connection, counters = session
+    written = list(EVENTS)
+    held = connection.query("SELECT id FROM events WHERE id >= 299")
+
+    def assert_appended(rows) -> None:
+        assert counters.collected == []
+        assert counters.table_loads == 0
+        # Attribute mode encodes the inserted rows, never the relation.
+        assert sum(count for _, count in counters.encoded) <= len(rows)
+        counters.reset()
+
+    connection.execute("INSERT INTO events VALUES (?, ?, ?)", [300, "new", 0])
+    written.append((300, "new", 0))
+    assert connection.query(READ, [300]).rows() == [(300, "new", 0)]
+    assert_appended(written[-1:])
+
+    batch = [(key, "batch", key % 100) for key in range(301, 306)]
+    connection.executemany("INSERT INTO events VALUES (?, ?, ?)", batch)
+    written.extend(batch)
+    assert len(_answer(connection, params=[305])) == 1
+    assert_appended(batch)
+
+    connection.load("events", [(306, None, 1)], uncertainty="flag")
+    written.append((306, None, 1))
+    assert connection.query(READ, [306]).certain_rows() == []
+    assert_appended(written[-1:])
+
+    # Results are snapshots: what was read before the writes still reads so.
+    assert held.rows() == [(299,)]
+    assert connection.query("SELECT id FROM events WHERE id >= 299").rows() \
+        == [(key,) for key in range(299, 307)]
+
+    # Read-your-write equals a fresh session over the same rows.
+    fresh = _open(path, connection.annotation, SQLiteEngine(), name="fresh")
+    try:
+        if path is None:
+            fresh.execute("CREATE TABLE events (id INT, kind STRING, v INT)")
+            fresh.load("events", written, uncertainty="flag")
+        scan = "SELECT id, kind, v FROM events"
+        assert _answer(connection, scan) == _answer(fresh, scan)
+        assert connection.stats.snapshot()["events"] \
+            == fresh.stats.snapshot()["events"]
+    finally:
+        fresh.close()
+
+
+def test_unreported_mutation_rebuilds_that_table_once(session):
+    connection, counters = session
+    row = (400, "side", 4)
+    # Behind the session's back, on both catalogs a read might go through.
+    connection.uadb.relation("events").add(row)
+    connection.encoded.relation("events").add(row + (1,))
+    sql = "SELECT id, kind FROM events WHERE id = 400"
+    assert len(_answer(connection, sql)) == 1
+    assert counters.collected == ["events"]
+    assert counters.table_loads == 1
+    if connection.annotation == "attribute":
+        assert counters.encoded == [("events", len(EVENTS) + 1)]
+    counters.reset()
+    # Repaired once: the next reads, and the next write, are back to free.
+    assert len(_answer(connection, sql)) == 1
+    connection.execute("INSERT INTO events VALUES (?, ?, ?)", [401, "new", 1])
+    assert len(_answer(connection, params=[401])) == 1
+    assert counters.collected == []
+    assert counters.table_loads == 0
+    assert sum(count for _, count in counters.encoded) <= 1
+
+
+def test_raised_multiplicity_rederives_only_that_attribute_entry(monkeypatch):
+    engine = SQLiteEngine()
+    connection = repro.connect(engine=engine, annotation="attribute")
+    try:
+        connection.execute("CREATE TABLE r (a INT)")
+        connection.execute("CREATE TABLE s (a INT)")
+        connection.executemany("INSERT INTO r VALUES (?)", [(1,), (2,)])
+        connection.executemany("INSERT INTO s VALUES (?)", [(1,), (2,)])
+        assert connection.query("SELECT r.a FROM r, s WHERE r.a = s.a") \
+            .bounded_rows() == [(((1, 1, 1),), (1, 1, 1)),
+                                (((2, 2, 2),), (1, 1, 1))]
+        counters = _Counters(monkeypatch, engine)
+        # A second copy of a stored tuple changes its fragment's
+        # multiplicity, which an append cannot express.
+        connection.execute("INSERT INTO r VALUES (2)")
+        assert connection.query("SELECT a FROM r").bounded_rows() \
+            == [(((1, 1, 1),), (1, 1, 1)), (((2, 2, 2),), (2, 2, 2))]
+        assert counters.encoded == [("r", 2)]
+        assert counters.collected == []
+    finally:
+        connection.close()

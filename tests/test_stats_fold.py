@@ -1,0 +1,157 @@
+"""Statistics equal a recount.
+
+Every INSERT folds its rows into the table statistics and nothing
+recollects behind the fold, so the fold has to be exact: after any sequence
+of writes ``connection.stats`` must equal a fresh ``TableStats.collect`` of
+each encoded relation -- row counts, null counts, min/max and the KMV
+sketches, not approximately.
+"""
+
+from __future__ import annotations
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.db.stats import SKETCH_SIZE, StatsCatalog
+
+_keys = st.one_of(st.integers(0, 6), st.integers(-10**6, 10**6))
+_rows = st.tuples(
+    _keys,
+    st.one_of(st.none(), st.sampled_from(["", "a", "b", "zz"])),
+    st.one_of(st.none(), st.sampled_from([-1.5, 0.0, 0.5, 2.5])),
+    # An ANY column: mixed types defeat min/max in any order.
+    st.one_of(st.none(), st.integers(0, 3), st.sampled_from(["p", "q"])),
+)
+
+_steps = st.one_of(
+    st.tuples(st.just("insert"), _rows),
+    st.tuples(st.just("many"), st.lists(_rows, max_size=5)),
+    st.tuples(st.just("load"), st.lists(_rows, max_size=8),
+              st.sampled_from([None, "flag"])),
+    # Enough distinct keys to saturate a sketch (exact set -> KMV).
+    st.tuples(st.just("bulk"), st.integers(0, 400),
+              st.sampled_from([40, SKETCH_SIZE + 60])),
+    st.tuples(st.just("again"), st.integers(0, 10**6)),
+    st.tuples(st.just("out_of_band"), _rows),
+    st.tuples(st.just("other_table"), st.integers(0, 50)),
+    st.tuples(st.just("reopen")),
+)
+
+
+def _recount(connection):
+    """What a fresh collection over the session's relations reports."""
+    catalog = StatsCatalog()
+    for relation in connection.encoded:
+        catalog.collect(relation)
+    return catalog
+
+
+def _assert_stats_equal_recount(connection) -> None:
+    recount = _recount(connection)
+    assert connection.stats.snapshot() == recount.snapshot()
+    for relation in connection.encoded:
+        name = relation.schema.name
+        folded = connection.stats.table_stats(name)
+        assert json.loads(folded.to_json()) \
+            == json.loads(recount.table_stats(name).to_json())
+        assert folded.fresh(relation)
+
+
+def _open(path):
+    if path is None:
+        return repro.connect(engine="sqlite", name="stats-fold")
+    return repro.connect(str(path), engine="sqlite", name="stats-fold")
+
+
+def _run(steps, path) -> None:
+    connection = _open(path)
+    try:
+        connection.execute("CREATE TABLE t (k INT, s STRING, x FLOAT, a ANY)")
+        connection.execute("CREATE TABLE u (k INT)")
+        written = []
+        for number, step in enumerate(steps):
+            kind, repaired = step[0], True
+            if kind == "insert":
+                connection.execute("INSERT INTO t VALUES (?, ?, ?, ?)", step[1])
+                written.append(step[1])
+            elif kind == "many":
+                connection.executemany("INSERT INTO t VALUES (?, ?, ?, ?)",
+                                       step[1])
+                written.extend(step[1])
+            elif kind == "load":
+                connection.load("t", step[1], uncertainty=step[2])
+                written.extend(step[1])
+            elif kind == "bulk":
+                connection.load("t", [(key, f"s{key % 9}", key * 0.5, key)
+                                      for key in range(step[1], step[1] + step[2])])
+            elif kind == "again" and written:
+                # A tuple the relation already holds: only its multiplicity
+                # moves, no statistic may.
+                connection.execute("INSERT INTO t VALUES (?, ?, ?, ?)",
+                                   written[step[1] % len(written)])
+            elif kind == "out_of_band":
+                connection.encoded.relation("t").add(step[1] + (1,))
+                repaired = False
+            elif kind == "other_table":
+                connection.execute("INSERT INTO u VALUES (?)", [step[1]])
+            elif kind == "reopen" and path is not None:
+                connection.close()
+                connection = _open(path)
+            if not repaired:
+                # An unreported mutation is repaired by the next compile
+                # (a new statement text), and only there.
+                assert not connection.stats.fresh(connection.encoded.relation("t"))
+                connection.query(f"SELECT k FROM t WHERE k = {number}")
+            _assert_stats_equal_recount(connection)
+    finally:
+        connection.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_steps, max_size=10))
+def test_memory_session_stats_equal_a_recount(steps):
+    _run(steps, None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_steps, max_size=10))
+def test_store_session_stats_equal_a_recount(tmp_path_factory, steps):
+    _run(steps, tmp_path_factory.mktemp("fold") / "fold.uadb")
+
+
+def test_a_write_after_an_unreported_mutation_leaves_the_repair_to_refresh():
+    connection = repro.connect(engine="sqlite", name="stats-fold-stale")
+    try:
+        connection.execute("CREATE TABLE t (k INT)")
+        connection.execute("INSERT INTO t VALUES (1)")
+        relation = connection.encoded.relation("t")
+        relation.add((7, 1))
+        # Folding on top of statistics that miss a row and pinning the
+        # result would hide the row from every later refresh.
+        connection.execute("INSERT INTO t VALUES (2)")
+        assert not connection.stats.fresh(relation)
+        connection.query("SELECT k FROM t")
+        _assert_stats_equal_recount(connection)
+        assert connection.stats.table_stats("t").row_count == 3
+    finally:
+        connection.close()
+
+
+def test_failed_persistence_is_counted_and_logged_once(tmp_path, caplog):
+    connection = repro.connect(str(tmp_path / "closed.uadb"), engine="sqlite")
+    connection.execute("CREATE TABLE t (k INT)")
+    catalog = connection.stats
+    assert catalog.persist_failures == 0
+    connection.close()
+    with caplog.at_level("WARNING", logger="repro.db.stats"):
+        catalog.update_rows("t", [(1, 1)])
+        catalog.update_rows("t", [(2, 1)])
+        catalog.reload()
+    assert catalog.persist_failures == 3
+    assert len([record for record in caplog.records
+                if record.name == "repro.db.stats"]) == 1
+    # The in-memory statistics stayed in use.
+    assert catalog.table_stats("t").row_count == 2
