@@ -33,7 +33,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import (
-    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union,
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 from repro.db import algebra
@@ -46,7 +47,7 @@ from repro.db.params import (
     expression_parameters, plan_parameters,
 )
 from repro.db.optimizer import optimize_plan
-from repro.db.relation import KRelation, Row, _row_sort_key, render_table
+from repro.db.relation import KRelation, Row, render_table
 from repro.db.schema import (
     Attribute, DataType, DatabaseSchema, RelationSchema, SchemaError,
 )
@@ -58,8 +59,9 @@ from repro.db.sql.parser import parse_statement
 from repro.db.sql.translator import parse_query, translate
 from repro.semirings import NATURAL, Semiring
 from repro.core.attribute_bounds import (
-    AttributeBoundsRelation, decode_attribute_relation,
-    encode_attribute_relation, is_attribute_encoded,
+    AttributeBoundsRelation, AttributeLabel, Fragment, answer_schema,
+    decode_attribute_relation, encode_attribute_relation,
+    is_attribute_encoded, label_fragments, read_attribute_fragments,
 )
 from repro.core.attribute_rewriter import rewrite_attribute_plan
 from repro.core.encoding import (
@@ -67,7 +69,6 @@ from repro.core.encoding import (
 )
 from repro.core.rewriter import rewrite_plan
 from repro.core.uadb import UADatabase, UARelation
-from repro.extensions.attribute_level import AttributeLabel
 from repro.incomplete.ctable import CTableDatabase
 from repro.incomplete.tidb import TIDatabase
 from repro.incomplete.xdb import XDatabase
@@ -186,19 +187,22 @@ class _EncodedResult(UAQueryResult):
 
 @dataclass
 class AttributeQueryResult:
-    """Result of an attribute-level query: rows with per-attribute bounds.
+    """Result of an attribute-level query: a view over the bounded answer.
 
     Produced by :meth:`Connection.query_bounds` (and by every query path of
     a connection opened with ``annotation="attribute"``).  The underlying
     :class:`~repro.core.attribute_bounds.AttributeBoundsRelation` holds one
     *fragment* per distinct row of ``[lower, best, upper]`` ranges together
     with a multiplicity triple; the accessors below project out the views
-    most callers want.
+    most callers want.  A session's result reads them off one pass over the
+    engine's encoded answer, made on first use, and assembles
+    :attr:`relation` only when it is asked for.
     """
 
     relation: AttributeBoundsRelation
     #: Wall-clock evaluation time in seconds (binding + execution; includes
-    #: compilation only when the statement was not already cached).
+    #: compilation only when the statement was not already cached; reading
+    #: the answer happens on first access and is not part of it).
     elapsed: float = 0.0
 
     @property
@@ -206,19 +210,23 @@ class AttributeQueryResult:
         """Schema of the answer (one attribute per result column)."""
         return self.relation.schema
 
+    @cached_property
+    def _pairs(self) -> List[Tuple[Row, AttributeLabel]]:
+        return self.relation.labeled_rows()
+
     def rows(self) -> List[Row]:
-        """Distinct best-guess rows (the best-guess-world answer)."""
-        return self.relation.rows()
+        """Distinct best-guess rows (the best-guess-world answer), sorted."""
+        return [row for row, _ in self._pairs]
 
     def certain_rows(self) -> List[Row]:
-        """Rows certain in both existence and value: collapsed ranges with
-        a lower multiplicity bound of at least one."""
+        """Rows certain in both existence and value: some fragment has
+        collapsed ranges and a lower multiplicity bound of at least one."""
         return self.relation.certain_rows()
 
     def uncertain_rows(self) -> List[Row]:
         """Best-guess rows that are not fully certain."""
-        certain = set(self.relation.certain_rows())
-        return [row for row in self.relation.rows() if row not in certain]
+        certain = set(self.certain_rows())
+        return [row for row, _ in self._pairs if row not in certain]
 
     def bounded_rows(self) -> List[Tuple[Tuple, Tuple[int, int, int]]]:
         """All fragments as ``(range-row, (m_lb, m_bg, m_ub))`` pairs.
@@ -229,32 +237,9 @@ class AttributeQueryResult:
         return self.relation.bounded_rows()
 
     def labeled_rows(self) -> List[Tuple[Row, AttributeLabel]]:
-        """Best-guess rows paired with per-attribute certainty labels.
-
-        The label of a row is the *least certain* reading over the
-        fragments that produce it in the best-guess world:
-        ``existence_certain`` requires some producing fragment to be
-        certainly present (``m_lb >= 1``), and an attribute is uncertain
-        when any producing fragment's range for it is not collapsed.
-        """
-        names = self.relation.schema.attribute_names
-        merged: Dict[Row, List[Any]] = {}
-        for ranges, (low, best, _high) in self.relation.items():
-            if best < 1:
-                continue
-            row = tuple(r[1] for r in ranges)
-            label = merged.get(row)
-            if label is None:
-                label = merged[row] = [False, set()]
-            if low >= 1:
-                label[0] = True
-            for name, (lower, _b, upper) in zip(names, ranges):
-                if lower != upper:
-                    label[1].add(name)
-        pairs = [(row, AttributeLabel(exists, frozenset(uncertain)))
-                 for row, (exists, uncertain) in merged.items()]
-        pairs.sort(key=lambda pair: _row_sort_key(pair[0]))
-        return pairs
+        """Best-guess rows paired with per-attribute certainty labels, sorted
+        (:meth:`~repro.core.attribute_bounds.AttributeBoundsRelation.labeled_rows`)."""
+        return list(self._pairs)
 
     def __len__(self) -> int:
         """Number of distinct fragments in the result."""
@@ -263,6 +248,39 @@ class AttributeQueryResult:
     def pretty(self, limit: int = 20) -> str:
         """Human-readable table: ranges as ``[lower, best, upper]``."""
         return self.relation.pretty(limit)
+
+
+class _EncodedAttributeResult(AttributeQueryResult):
+    """The result of a range-rewritten plan, read off its encoded answer in
+    one validating pass; :attr:`relation` wraps that pass's fragments only
+    when the bounds themselves are asked for."""
+
+    def __init__(self, encoded: KRelation, names: Sequence[str],
+                 widths: Sequence[int], elapsed: float = 0.0) -> None:
+        self._encoded = encoded
+        self._names = names
+        self._widths = widths
+        self.elapsed = elapsed
+
+    @cached_property
+    def schema(self) -> RelationSchema:
+        return answer_schema(self._names, self._encoded.schema.name)
+
+    @cached_property
+    def _fragments(self) -> List[Fragment]:
+        return list(read_attribute_fragments(
+            self._encoded, self.schema.attribute_names, self._widths))
+
+    @cached_property
+    def relation(self) -> AttributeBoundsRelation:
+        return AttributeBoundsRelation._from_fragments(
+            self.schema, self._fragments, self._widths)
+
+    @cached_property
+    def _pairs(self) -> List[Tuple[Row, AttributeLabel]]:
+        return label_fragments(self._fragments, [
+            name for name, width
+            in zip(self.schema.attribute_names, self._widths) if width == 3])
 
 
 @dataclass
@@ -291,6 +309,9 @@ class PreparedPlan:
     #: plans need them to decode the canonical triple layout back into
     #: named ranges.
     output_names: Tuple[str, ...] = ()
+    #: ``"attribute"``-mode plans: encoded positions per output column (3 for
+    #: a range triple, 1 for a column carried once), parallel to the names.
+    output_widths: Tuple[int, ...] = ()
     #: ``"attribute"``-mode plans: joins still matching on range overlap and
     #: output columns known collapsed (what EXPLAIN reports).
     range_joins: int = 0
@@ -869,6 +890,7 @@ class Connection:
             rewrite = rewrite_attribute_plan(logical, database.schema, certain)
             plan = rewrite.plan
             described = {"output_names": rewrite.columns,
+                         "output_widths": rewrite.widths,
                          "range_joins": rewrite.range_joins,
                          "certain_columns": rewrite.certain_columns}
             optimize_catalog = database.schema
@@ -906,16 +928,14 @@ class Connection:
         started = time.perf_counter()
         with self._locking.read():
             if entry.mode == "attribute":
-                encoded_result = evaluate(entry.plan,
-                                          self._attribute_execution()[0],
-                                          engine=self.engine, optimize=False,
-                                          params=params)
-                bounds = decode_attribute_relation(
-                    encoded_result, attributes=entry.output_names)
-                return AttributeQueryResult(bounds,
-                                            time.perf_counter() - started)
+                encoded = self._evaluate_encoded(
+                    entry.plan, False, params, self._attribute_execution()[0])
+                return _EncodedAttributeResult(
+                    encoded, entry.output_names, entry.output_widths,
+                    time.perf_counter() - started)
             if entry.mode == "rewritten":
-                encoded = self._evaluate_encoded(entry.plan, False, params)
+                encoded = self._evaluate_encoded(entry.plan, False, params,
+                                                 self.encoded)
                 return _EncodedResult(encoded, time.perf_counter() - started)
             result = evaluate(entry.plan, self.uadb.database, engine=self.engine,
                               optimize=False, params=params)
@@ -926,14 +946,15 @@ class Connection:
         return UAQueryResult(relation, elapsed)
 
     def _evaluate_encoded(self, plan: algebra.Operator, optimize: bool,
-                          params: Params) -> KRelation:
-        """Evaluate a rewritten plan (the caller holds the read lock) into an
-        answer that a result may label and decode after the lock is gone."""
-        answer = evaluate(plan, self.encoded, engine=self.engine,
+                          params: Params, database: Database) -> KRelation:
+        """Evaluate a rewritten plan over its execution database (the caller
+        holds the read lock) into an answer that a result may label and
+        decode after the lock is gone."""
+        answer = evaluate(plan, database, engine=self.engine,
                           optimize=optimize, params=params)
         # A bare table reference evaluates to the stored relation itself (row
         # engine); the result must keep a snapshot, not the live table.
-        if any(answer is stored for stored in self.encoded):
+        if any(answer is stored for stored in database):
             answer = answer.copy()
         return answer
 
@@ -1120,6 +1141,9 @@ class Connection:
         if entry.mode == "attribute":
             report["range_joins"] = entry.range_joins
             report["certain_columns"] = list(entry.certain_columns)
+            report["result_width"] = {
+                "fetched": sum(entry.output_widths) + 3,
+                "canonical": 3 * len(entry.output_widths) + 3}
         return report
 
     def _run_explain(self, entry: PreparedPlan) -> UAQueryResult:
@@ -1137,6 +1161,8 @@ class Connection:
             lines.append(f"range joins: {report['range_joins']}")
             lines.append("certain columns: "
                          + ", ".join(report["certain_columns"]))
+            lines.append("result width: {fetched} of {canonical}".format(
+                **report["result_width"]))
         certain_one = self.uadb.ua_semiring.certain_annotation(
             self.uadb.base_semiring.one)
         # Number the lines so two identical plan lines stay distinct rows
@@ -1157,8 +1183,10 @@ class Connection:
         dispatch to.  In ``"attribute"`` mode it also reports
         ``range_joins`` -- how many joins still match on range overlap, which
         no engine can hash or index, because a key column holds an uncertain
-        fragment -- and ``certain_columns``, the result columns known
-        collapsed on every row.  The SQL form ``EXPLAIN SELECT ...`` returns
+        fragment -- ``certain_columns``, the result columns known collapsed
+        on every row, and ``result_width``: encoded columns ``fetched`` per
+        fragment beside the ``canonical`` ``3n + 3``, two fewer for each
+        column carried once.  The SQL form ``EXPLAIN SELECT ...`` returns
         the same information as a ``(step, detail)`` relation.
         """
         if mode not in self.MODES:
@@ -1321,7 +1349,8 @@ class Connection:
         started = time.perf_counter()
         with self._locking.read():
             rewritten = rewrite_plan(plan, self.encoded_catalog)
-            encoded = self._evaluate_encoded(rewritten, self.optimize, params)
+            encoded = self._evaluate_encoded(rewritten, self.optimize, params,
+                                             self.encoded)
         return _EncodedResult(encoded, time.perf_counter() - started)
 
     def query_deterministic(self, sql: str,
@@ -1501,7 +1530,7 @@ class Cursor:
     def labeled_rows(self) -> List[Tuple[Row, Any]]:
         """Sorted ``(row, label)`` pairs of the last query: a certainty
         boolean on tuple-level connections, an
-        :class:`~repro.extensions.attribute_level.AttributeLabel` exposing
+        :class:`~repro.core.attribute_bounds.AttributeLabel` exposing
         per-attribute certainty on attribute-level ones."""
         return self.result.labeled_rows()
 

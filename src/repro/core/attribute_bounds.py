@@ -38,6 +38,7 @@ Tuple-level UA annotations are the degenerate case: collapsed ranges
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import (
     Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -48,6 +49,7 @@ from repro.semirings import NATURAL, Semiring
 
 __all__ = [
     "AttributeBoundsRelation",
+    "AttributeLabel",
     "LOWER_SUFFIX",
     "MULTIPLICITY_COLUMNS",
     "RangeError",
@@ -57,6 +59,7 @@ __all__ = [
     "encode_attribute_relation",
     "is_attribute_encoded",
     "logical_schema_from_encoded",
+    "read_attribute_fragments",
 ]
 
 #: Column-name suffix of a logical attribute's lower-bound column.
@@ -74,10 +77,55 @@ Range = Tuple[Any, Any, Any]
 RangeRow = Tuple[Range, ...]
 #: A fragment's multiplicity triple ``(m_lb, m_bg, m_ub)``.
 Multiplicity = Tuple[int, int, int]
+#: A fragment as a reader hands it on: best-guess row, multiplicity triple,
+#: and the ranges of the columns that are carried as triples.
+Fragment = Tuple[Row, Multiplicity, Tuple[Range, ...]]
 
 
 class RangeError(ValueError):
     """An attribute range or multiplicity triple violates its invariant."""
+
+
+@dataclass(frozen=True)
+class AttributeLabel:
+    """Uncertainty label of one best-guess tuple.
+
+    ``existence_certain`` states that the tuple (as an entity) appears in
+    every possible world; ``uncertain_attributes`` lists the attributes whose
+    value may differ across worlds.
+    """
+
+    existence_certain: bool
+    uncertain_attributes: FrozenSet[str] = frozenset()
+    # Lower-cased uncertain-attribute names, computed once per label:
+    # ``attribute_certain`` runs per cell when labeling result rows.
+    _lowered: FrozenSet[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_lowered",
+            frozenset(a.lower() for a in self.uncertain_attributes))
+
+    @property
+    def certain(self) -> bool:
+        """True when the exact tuple is a certain answer."""
+        return self.existence_certain and not self.uncertain_attributes
+
+    def attribute_certain(self, name: str) -> bool:
+        """True when the attribute's value is the same in every world."""
+        return name.lower() not in self._lowered
+
+    def better_than(self, other: "AttributeLabel") -> bool:
+        """Partial preference order used when merging duplicate rows."""
+        if self.certain != other.certain:
+            return self.certain
+        if self.existence_certain != other.existence_certain:
+            return self.existence_certain
+        return len(self.uncertain_attributes) < len(other.uncertain_attributes)
+
+
+#: The shared labels of rows without an uncertain attribute, by existence flag.
+_CLOSED_LABELS = {flag: AttributeLabel(flag) for flag in (False, True)}
 
 
 def _as_count(value: Any, what: str) -> int:
@@ -100,9 +148,13 @@ def check_multiplicity(multiplicity: Sequence[Any]) -> Multiplicity:
     """
     if len(multiplicity) != 3:
         raise RangeError(f"multiplicity must be a triple, got {multiplicity!r}")
-    low = _as_count(multiplicity[0], "m_lb")
-    best = _as_count(multiplicity[1], "m_bg")
-    high = _as_count(multiplicity[2], "m_ub")
+    low, best, high = multiplicity
+    # Plain ints ordered above a non-negative m_lb need no coercion: the
+    # common case, checked per fragment of every answer.
+    if not type(low) is type(best) is type(high) is int or low < 0:
+        low = _as_count(low, "m_lb")
+        best = _as_count(best, "m_bg")
+        high = _as_count(high, "m_ub")
     if not low <= best <= high:
         raise RangeError(
             f"multiplicity must satisfy m_lb <= m_bg <= m_ub, got {multiplicity!r}")
@@ -195,7 +247,9 @@ class AttributeBoundsRelation:
         checked = tuple(
             check_range(name, _coerce_range(value))
             for name, value in zip(self._names, ranges))
-        triple = check_multiplicity(tuple(multiplicity))
+        self._merge(checked, check_multiplicity(tuple(multiplicity)))
+
+    def _merge(self, checked: RangeRow, triple: Multiplicity) -> None:
         if triple[2] == 0:
             return
         current = self._data.get(checked)
@@ -203,6 +257,19 @@ class AttributeBoundsRelation:
             triple = (current[0] + triple[0], current[1] + triple[1],
                       current[2] + triple[2])
         self._data[checked] = triple
+
+    @classmethod
+    def _from_fragments(cls, schema: RelationSchema, fragments: Iterable[Fragment],
+                        widths: Sequence[int]) -> "AttributeBoundsRelation":
+        """Assemble what :func:`read_attribute_fragments` validated; a column
+        carried once has the collapsed range of its value."""
+        result = cls(schema)
+        for row, triple, ranges in fragments:
+            wide = iter(ranges)
+            result._merge(tuple([
+                next(wide) if width == 3 else (value, value, value)
+                for value, width in zip(row, widths)]), triple)
+        return result
 
     @classmethod
     def from_ua_relation(cls, relation: "KRelation") -> "AttributeBoundsRelation":
@@ -268,6 +335,19 @@ class AttributeBoundsRelation:
                 seen.add(tuple(r[1] for r in ranges))
         return sorted(seen, key=_row_sort_key)
 
+    def labeled_rows(self) -> List[Tuple[Row, AttributeLabel]]:
+        """Best-guess rows paired with their labels, sorted.
+
+        The label of a row is the *least certain* reading over the
+        fragments that produce it in the best-guess world:
+        ``existence_certain`` requires some producing fragment to be
+        certainly present (``m_lb >= 1``), and an attribute is uncertain
+        when any producing fragment's range for it is not collapsed.
+        """
+        return label_fragments(
+            ((tuple([r[1] for r in ranges]), multiplicity, ranges)
+             for ranges, multiplicity in self._data.items()), self._names)
+
     def certain_attributes(self) -> FrozenSet[str]:
         """Attributes whose every stored range is collapsed or all-NULL.
 
@@ -328,6 +408,24 @@ def _format_triple(triple: Multiplicity) -> str:
 
 def _bounds_sort_key(ranges: RangeRow) -> Tuple:
     return tuple(_row_sort_key(bounds) for bounds in ranges)
+
+
+def label_fragments(fragments: Iterable[Fragment],
+                    names: Sequence[str]) -> List[Tuple[Row, AttributeLabel]]:
+    """Merge fragments by best-guess row into sorted ``(row, label)`` pairs;
+    ``names`` are the attributes each fragment's ranges stand for, in order."""
+    exists: Dict[Row, bool] = {}
+    open_names: Dict[Row, set] = {}
+    for row, (low, best, _high), ranges in fragments:
+        if best < 1:
+            continue
+        exists[row] = low >= 1 or exists.get(row, False)
+        for name, (lower, _best, upper) in zip(names, ranges):
+            if lower != upper:
+                open_names.setdefault(row, set()).add(name)
+    return [(row, AttributeLabel(exists[row], frozenset(open_names[row]))
+             if row in open_names else _CLOSED_LABELS[exists[row]])
+            for row in sorted(exists, key=_row_sort_key)]
 
 
 # -- encoding ----------------------------------------------------------------
@@ -409,54 +507,72 @@ def encode_attribute_relation(relation: AttributeBoundsRelation,
     return encoded
 
 
+def read_attribute_fragments(relation: KRelation, names: Sequence[str],
+                             widths: Sequence[int]) -> Iterator[Fragment]:
+    """Walk an encoded answer once, validating everything that is read.
+
+    Column ``names[i]`` occupies ``widths[i]`` encoded positions: 3 for a
+    ``best, lower, upper`` triple, 1 for a column carried once (nothing to
+    compare).  Yields per encoded row its best-guess row, its multiplicity
+    triple scaled by the row's semiring annotation ``n`` (``n`` independent
+    fragments) and the range of each triple column, in order; a malformed
+    triple of either kind raises :class:`RangeError`.
+    """
+    if relation.schema.arity != sum(widths) + 3:
+        raise RangeError(
+            f"encoded arity {relation.schema.arity} does not match "
+            f"{len(widths)} logical attributes of widths {tuple(widths)}")
+    starts = [sum(widths[:i]) for i in range(len(widths))]
+    wide = [(name, start)
+            for name, start, width in zip(names, starts, widths) if width == 3]
+    for row, annotation in relation.items():
+        weight = int(annotation) if isinstance(annotation, int) else 1
+        if weight <= 0:
+            continue
+        triple = check_multiplicity(row[-3:])
+        if weight != 1:
+            triple = (weight * triple[0], weight * triple[1], weight * triple[2])
+        if not wide:
+            yield row[:-3], triple, ()
+            continue
+        yield (tuple([row[i] for i in starts]), triple,
+               tuple([check_range(name, (row[i + 1], row[i], row[i + 2]))
+                      for name, i in wide]))
+
+
+def answer_schema(attributes: Sequence[str], name: str) -> RelationSchema:
+    """Logical schema of an answer whose columns are named positionally;
+    repeated names are made unique (``a``, ``a_2``)."""
+    seen: Dict[str, int] = {}
+    unique: List[Attribute] = []
+    for column in attributes:
+        count = seen[column.lower()] = seen.get(column.lower(), 0) + 1
+        unique.append(Attribute(
+            column if count == 1 else f"{column}_{count}", DataType.ANY))
+    return RelationSchema(name, tuple(unique))
+
+
 def decode_attribute_relation(relation: KRelation,
                               attributes: Optional[Sequence[str]] = None,
-                              name: Optional[str] = None) -> AttributeBoundsRelation:
+                              name: Optional[str] = None,
+                              widths: Optional[Sequence[int]] = None,
+                              ) -> AttributeBoundsRelation:
     """Reassemble an :class:`AttributeBoundsRelation` from an encoded one.
 
     ``attributes`` names the logical columns positionally (query results
     use generated internal names); by default they are recovered from the
-    encoded schema.  Fragments replicated by a semiring annotation ``n``
-    fold in as ``n`` pointwise multiplicity additions.
+    encoded schema.  ``widths`` gives the encoded positions of each column
+    (``AttributeRewrite.widths``); by default every column is a triple --
+    stored relations, and plans rewritten without a certainty map.
+    Fragments replicated by a semiring annotation ``n`` fold in as ``n``
+    pointwise multiplicity additions.
     """
     if attributes is None:
         logical = logical_schema_from_encoded(relation.schema, name)
     else:
-        unique = _dedupe_names(attributes)
-        logical = RelationSchema(
-            name or relation.schema.name,
-            tuple(Attribute(n, DataType.ANY) for n in unique))
-    if relation.schema.arity != 3 * logical.arity + 3:
-        raise RangeError(
-            f"encoded arity {relation.schema.arity} does not match "
-            f"{logical.arity} logical attributes")
-    result = AttributeBoundsRelation(logical)
-    positions = range(0, 3 * logical.arity, 3)
-    for row, annotation in relation.items():
-        weight = annotation if isinstance(annotation, int) else 1
-        weight = int(weight)
-        if weight <= 0:
-            continue
-        ranges = tuple((row[i + 1], row[i], row[i + 2]) for i in positions)
-        triple = row[-3:]
-        if weight != 1:
-            low, best, high = check_multiplicity(triple)
-            triple = (weight * low, weight * best, weight * high)
-        # add_bounded validates every range and the (weighted) triple.
-        result.add_bounded(ranges, triple)
-    return result
-
-
-def _dedupe_names(names: Sequence[str]) -> List[str]:
-    """Make result column names unique (``SELECT a, a`` style duplicates)."""
-    seen: Dict[str, int] = {}
-    unique: List[str] = []
-    for column in names:
-        key = column.lower()
-        if key in seen:
-            seen[key] += 1
-            unique.append(f"{column}_{seen[key]}")
-        else:
-            seen[key] = 1
-            unique.append(column)
-    return unique
+        logical = answer_schema(attributes, name or relation.schema.name)
+    if widths is None:
+        widths = (3,) * logical.arity
+    return AttributeBoundsRelation._from_fragments(
+        logical, read_attribute_fragments(
+            relation, logical.attribute_names, widths), widths)

@@ -14,7 +14,8 @@ Internally every rewritten operator normalizes its output to a canonical
 column layout ``v0, v0_lb, v0_ub, v1, ..., m_lb, m_bg, m_ub`` via a
 projection; the mapping from logical column names (and qualifiers) to
 positions travels separately.  That keeps joins, unions and decoding
-purely positional.
+purely positional.  The final projection alone may be narrower: an output
+column proved collapsed is carried once (``AttributeRewrite.widths``).
 
 Columns that cannot be uncertain compile by their best-guess column alone.
 The caller passes, per relation, the attributes whose every stored range
@@ -114,19 +115,22 @@ class AttributeRewriteError(ValueError):
 class AttributeRewrite:
     """Result of :func:`rewrite_attribute_plan`.
 
-    ``plan`` evaluates over the attribute-encoded database; its output
-    follows the canonical triple layout.  ``columns`` names the logical
-    output columns positionally (column ``i`` occupies encoded positions
-    ``3*i .. 3*i+2``).  ``range_joins`` counts the joins whose possible
-    predicate still tests range overlap between the two sides (no engine
-    can hash or index those); ``certain_columns`` names the output columns
-    known to be collapsed on every row.
+    ``plan`` evaluates over the attribute-encoded database.  ``columns``
+    names the logical output columns positionally and ``widths`` gives, in
+    the same order (names may repeat), the encoded positions each occupies:
+    3 for the canonical ``best, lower, upper`` triple, 1 for a column known
+    collapsed, which leaves the plan as its best guess alone.
+    ``range_joins`` counts the joins whose possible predicate still tests
+    range overlap between the two sides (no engine can hash or index
+    those); ``certain_columns`` names the output columns known to be
+    collapsed on every row.
     """
 
     plan: Operator
     columns: Tuple[str, ...]
     range_joins: int = 0
     certain_columns: Tuple[str, ...] = ()
+    widths: Tuple[int, ...] = ()
 
 
 # A logical column visible at some point of the plan: its SQL name, the
@@ -384,15 +388,32 @@ def rewrite_attribute_plan(
     attributes whose every stored range is collapsed (see
     :meth:`AttributeBoundsRelation.certain_attributes`); such a column
     compares, joins and multiplies by its best-guess column alone, and
-    with nothing known every column takes the general range forms.  Raises
-    :class:`AttributeRewriteError` when the plan uses operators or
-    expressions outside the supported fragment.
+    with nothing known every column takes the general range forms.  Given
+    a map, an output column still certain leaves the plan once
+    (:attr:`AttributeRewrite.widths`); without one the output is the
+    canonical triple layout.  Raises :class:`AttributeRewriteError` when
+    the plan uses operators or expressions outside the supported fragment.
     """
     ctx = _Context(catalog, certain or {})
     rewritten, cols = _rewrite(plan, ctx)
+    widths = tuple(1 if col.certain and certain is not None else 3
+                   for col in cols)
     return AttributeRewrite(
-        rewritten, tuple(col.name for col in cols), ctx.range_joins,
-        tuple(col.name for col in cols if col.certain))
+        _carry_once(rewritten, widths), tuple(col.name for col in cols),
+        ctx.range_joins, tuple(col.name for col in cols if col.certain), widths)
+
+
+def _carry_once(plan: Operator, widths: Sequence[int]) -> Operator:
+    """Drop the bound columns of the width-1 output columns.  Every rewrite
+    ends in a canonical projection, or a UNION ALL of them; the bounds
+    equal the best guess on every row, so no two rows become one."""
+    if isinstance(plan, Union):
+        return Union(_carry_once(plan.left, widths),
+                     _carry_once(plan.right, widths))
+    dropped = {name for i, width in enumerate(widths) if width == 1
+               for name in (_vlb(i), _vub(i))}
+    return Projection(plan.child, tuple(
+        item for item in plan.items if item[1] not in dropped))
 
 
 def _rewrite(plan: Operator, ctx: _Context) -> Tuple[Operator, List[_Col]]:

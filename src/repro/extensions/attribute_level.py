@@ -24,53 +24,15 @@ certain really does appear in every possible world.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.attribute_bounds import AttributeLabel
 from repro.db import algebra
 from repro.db.expressions import Expression, RowEnvironment
 from repro.db.relation import Row, _row_sort_key
 from repro.db.schema import Attribute, RelationSchema
 from repro.incomplete.vtable import NamedNull, VTableDatabase
 from repro.incomplete.xdb import XDatabase
-
-
-@dataclass(frozen=True)
-class AttributeLabel:
-    """Uncertainty label of one best-guess tuple.
-
-    ``existence_certain`` states that the tuple (as an entity) appears in
-    every possible world; ``uncertain_attributes`` lists the attributes whose
-    value may differ across worlds.
-    """
-
-    existence_certain: bool
-    uncertain_attributes: FrozenSet[str] = frozenset()
-    # Lower-cased uncertain-attribute names, computed once per label:
-    # ``attribute_certain`` runs per cell when labeling result rows.
-    _lowered: FrozenSet[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_lowered",
-            frozenset(a.lower() for a in self.uncertain_attributes))
-
-    @property
-    def certain(self) -> bool:
-        """True when the exact tuple is a certain answer."""
-        return self.existence_certain and not self.uncertain_attributes
-
-    def attribute_certain(self, name: str) -> bool:
-        """True when the attribute's value is the same in every world."""
-        return name.lower() not in self._lowered
-
-    def better_than(self, other: "AttributeLabel") -> bool:
-        """Partial preference order used when merging duplicate rows."""
-        if self.certain != other.certain:
-            return self.certain
-        if self.existence_certain != other.existence_certain:
-            return self.existence_certain
-        return len(self.uncertain_attributes) < len(other.uncertain_attributes)
 
 
 class AttributeUARelation:

@@ -559,14 +559,13 @@ class UADBServer:
         best-guess world.
         """
         result = conn.query_bounds(sql, params)
-        relation = result.relation
-        columns = list(relation.schema.attribute_names)
+        columns = list(result.schema.attribute_names)
         types = [attribute.data_type.name.lower()
-                 for attribute in relation.schema.attributes]
+                 for attribute in result.schema.attributes]
         rows: List[Any] = []
         certain: List[bool] = []
         bounds: List[Dict[str, Any]] = []
-        for ranges, multiplicity in relation.bounded_rows():
+        for ranges, multiplicity in result.bounded_rows():
             rows.append([r[1] for r in ranges])
             certain.append(multiplicity[0] >= 1 and all(
                 r[0] == r[2] or r[0] is None for r in ranges))

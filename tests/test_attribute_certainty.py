@@ -157,7 +157,8 @@ def test_answers_with_the_map_equal_answers_without(engine, optimize):
                 encoded = evaluate(rewrite.plan, database, engine=engine,
                                    optimize=optimize, params=query.params)
                 answers.append(decode_attribute_relation(
-                    encoded, attributes=rewrite.columns).bounded_rows())
+                    encoded, attributes=rewrite.columns,
+                    widths=rewrite.widths).bounded_rows())
             assert answers[0] == answers[1], query.to_sql()
     # The generator draws both a collapsed and an uncertain key column.
     assert g_flags == {True, False}
