@@ -33,8 +33,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import (
-    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
-    Union,
+    Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional,
+    Sequence, Set, Tuple, TypeVar, Union,
 )
 
 from repro.db import algebra
@@ -77,6 +77,8 @@ from repro.api.store import (
 )
 
 logger = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 
 class SessionError(RuntimeError):
@@ -498,30 +500,59 @@ class Connection:
                 raise SchemaError(f"relation {name!r} already exists")
             # Persist first: if the store refuses the relation (unbindable
             # values), nothing was registered and the call is retryable.
-            self._persist_relation(encoded)
+            self._commit_registration(encoded)
             self.uadb.add_relation(relation)
             self.encoded.add_relation(encoded)
-            self.stats.collect(encoded)
+
+    def _commit_registration(self, encoded: KRelation) -> None:
+        """The durable half of a registration, one store transaction: the
+        table and its catalog entry, both version bumps and the collected
+        statistics.  The caller adds the relation to its catalogs after."""
+        def write(persist: bool) -> None:
+            if persist:
+                self.store.save(encoded)
             self._bump_catalog_version()
             self._bump_stats_version()
+            self.stats.collect(encoded)  # last: see UADBStore.save_stats
 
-    def _persist_relation(self, encoded: KRelation) -> None:
-        """Write a freshly registered relation through to the store."""
+        self._commit(encoded.schema.name, write)
+
+    def _commit(self, name: str, write: Callable[[bool], _T]) -> Tuple[bool, _T]:
+        """Run ``write(persist)`` -- the store writes of one registration or
+        INSERT into relation ``name`` -- as one store transaction.
+
+        Returns ``(persisted, write's result)``.  On any failure the
+        transaction rolls back and the exception propagates before the
+        caller touches memory; statistics a failed commit may already have
+        folded are dropped, so the next compile recollects that table.  A
+        store that refuses the values (:class:`UnstorableRelationError`)
+        is fatal unless it was auto-enabled (``REPRO_STORE_DIR``): then the
+        write degrades to memory, its statistics and version still
+        committed, and it will not survive the process.
+        """
         if self.store is None:
-            return
+            return False, write(False)
         try:
-            self.store.save(encoded)
+            return True, self._transaction(name, write, True)
         except UnstorableRelationError as error:
             if not self._store_auto:
                 raise
-            # Auto-enabled stores (REPRO_STORE_DIR) degrade gracefully: the
-            # relation stays queryable in memory, it just won't survive the
-            # process.  Explicit stores surface the failure to the caller.
-            logger.warning(
-                "relation %r holds values the on-disk store cannot persist "
-                "(%s); it will not survive this process",
-                encoded.schema.name, error,
-            )
+            logger.warning("%s; it stays queryable in memory only and will "
+                           "not survive this process", error)
+        return False, self._transaction(name, write, False)
+
+    def _transaction(self, name: str, write: Callable[[bool], _T],
+                     persist: bool) -> _T:
+        """``write(persist)`` inside one store transaction (see
+        :meth:`_commit`)."""
+        try:
+            with self.store.transaction():
+                return write(persist)
+        except UnstorableRelationError:
+            raise  # refused before anything moved
+        except BaseException:
+            self.stats.drop(name)
+            raise
 
     def _bump_catalog_version(self) -> None:
         """Advance the catalog version (shared counter when sharing a cache).
@@ -593,12 +624,9 @@ class Connection:
                 raise SchemaError(f"relation {name!r} already exists")
             relation.check_invariant()
             encoded = encode_attribute_relation(relation, self.semiring)
-            self._persist_relation(encoded)
+            self._commit_registration(encoded)
             self._attribute_relations[name] = relation
             self._attribute_encoded[name] = encoded
-            self.stats.collect(encoded)
-            self._bump_catalog_version()
-            self._bump_stats_version()
 
     def register_ua_database(self, uadb: UADatabase) -> None:
         """Register every relation of an existing UA-database."""
@@ -1019,13 +1047,19 @@ class Connection:
 
     def _apply_insert(self, table: str, rows: List[Row],
                       uncertain: Optional[List[bool]] = None) -> int:
-        """Insert already-validated ``rows`` in one batched transaction.
+        """Insert already-validated ``rows`` as one store transaction.
 
         The core write primitive shared by SQL ``INSERT``, ``executemany``
-        batches and the bulk-ingest loader (:mod:`repro.ingest`): one
-        write-ahead store append (a single WAL transaction however many rows
-        the batch holds), one in-memory mirror pass, one incremental
-        statistics fold and one statistics-version bump.
+        batches and the bulk-ingest loader (:mod:`repro.ingest`), in this
+        order: the tuples new to the relation are decided before anything
+        moves; the rows, the folded statistics and the advanced data
+        version are written and committed as **one** WAL transaction
+        however many rows the batch holds; only then does memory change --
+        relations, store and statistics fingerprints, the engine's mirror,
+        the attribute encoding.  So a refused or failed write (unbindable
+        values, a failed commit) raises with no state change anywhere, and
+        a crash leaves rows, statistics and version on disk together or
+        not at all.
 
         ``uncertain`` optionally flags rows (parallel list) that should be
         loaded as *uncertain* facts: they join the best-guess world with the
@@ -1050,71 +1084,53 @@ class Connection:
             # freshly loaded copies between two batches of one bulk load.
             ua_relation: UARelation = self.uadb.relation(table)
             encoded_relation = self.encoded.relation(table)
-            # Write-ahead: the store accepts (and commits) the rows before
-            # the in-memory mutation, so a refused INSERT (unbindable
-            # values) raises with *no* state change anywhere -- and the
-            # table stays append-only on this path (no wholesale reload).
-            persisted = self._persist_rows(encoded_relation, encoded_rows)
             # The writer advances every mirror of the table that described
             # it until now -- store table, statistics, engine mirror,
             # attribute encoding -- by the rows it adds; one already stale
             # (out-of-band mutation) is left for its own repair.
-            stats_current = self.stats.fresh(encoded_relation)
+            new_tuples: Optional[Set[Row]] = None
+            if self.stats.fresh(encoded_relation):
+                # The statistics count distinct tuples: fold only those the
+                # relation does not hold yet, a batch's duplicates once (a
+                # set: the fold merges in any order).
+                new_tuples = {row for row in encoded_rows
+                              if row not in encoded_relation}
             attribute_rows = self._new_attribute_rows(ua_relation, rows,
                                                       annotations)
+
+            def write(persist: bool) -> bool:
+                if persist:
+                    if not self.store.fresh(encoded_relation):
+                        # Out-of-band mutation: one full rewrite restores
+                        # coherence before the append.
+                        self.store.save(encoded_relation)
+                    one = self.semiring.one
+                    self.store.append(encoded_relation,
+                                      ((row, one) for row in encoded_rows))
+                # The data version other readers go by (cached plans, the
+                # fleet's result cache).
+                self._bump_stats_version()
+                # Last: a failed statistics write is undone alone.
+                return (new_tuples is not None
+                        and self.stats.update_rows(table, new_tuples))
+
+            persisted, folded = self._commit(table, write)
             before = encoded_relation._version
-            new_tuples: List[Row] = []
             for row, encoded_row, ua_annotation in zip(rows, encoded_rows,
                                                        annotations):
-                # The statistics count distinct tuples: fold only those
-                # the relation does not hold yet.
-                if encoded_row not in encoded_relation:
-                    new_tuples.append(encoded_row)
                 # The batch was validated above; skip per-add re-validation
                 # on the hot path.
                 ua_relation.add_validated(row, ua_annotation)
                 encoded_relation.add_validated(encoded_row, base.one)
             if persisted:
                 self.store.mark_synced(encoded_relation)
-            if stats_current:
-                self.stats.update_rows(table, new_tuples)
+            if folded:
                 self.stats.mark_current(encoded_relation)
             get_engine(self.engine).appended(
                 self.encoded, encoded_relation, before, encoded_rows)
             if attribute_rows is not None:
                 self._append_attribute_rows(ua_relation, attribute_rows)
-            # The data version other readers go by (cached plans, the
-            # fleet's result cache).
-            self._bump_stats_version()
         return len(rows)
-
-    def _persist_rows(self, encoded_relation: KRelation,
-                      encoded_rows: List[Row]) -> bool:
-        """Durably write inserted rows ahead of the in-memory mutation.
-
-        The hot path is an incremental append; a stale fingerprint
-        (out-of-band mutation of the relation) first degrades to one full
-        rewrite that restores coherence, then appends.  Returns True when
-        the rows reached the store (the caller then advances the
-        fingerprint once memory has caught up).
-        """
-        if self.store is None:
-            return False
-        try:
-            if not self.store.fresh(encoded_relation):
-                self.store.save(encoded_relation)
-            one = self.semiring.one
-            self.store.append(encoded_relation,
-                              ((row, one) for row in encoded_rows))
-            return True
-        except UnstorableRelationError as error:
-            if not self._store_auto:
-                raise
-            logger.warning(
-                "INSERT into %r could not be persisted (%s); the rows stay "
-                "queryable in memory only", encoded_relation.schema.name, error,
-            )
-            return False
 
     # -- EXPLAIN -------------------------------------------------------------------
 

@@ -28,8 +28,11 @@ Durability and concurrency come from SQLite itself:
   file (the WAL is replayed on the next open);
 * each thread gets its **own** ``sqlite3`` connection
   (:meth:`UADBStore.connection`), so concurrent readers run in parallel;
-* all writes to one store object serialize behind a process-wide write lock
-  and commit immediately.
+* all writes to one store object serialize behind a process-wide write lock;
+  :meth:`UADBStore.transaction` groups the writes of one session-level
+  write -- rows, statistics, version counters -- into one ``BEGIN
+  IMMEDIATE`` ... ``COMMIT``, so they reach disk together or not at all.
+  A write method called outside a transaction commits on its own.
 
 Opening anything that is not a UA-DB store -- a missing path, a corrupt
 file, a foreign SQLite database, an incompatible format or semiring --
@@ -43,7 +46,8 @@ import os
 import sqlite3
 import threading
 import weakref
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.db.relation import KRelation, Row
 from repro.db.schema import RelationSchema
@@ -146,6 +150,17 @@ class UADBStore:
         self.loads = 0
         #: Incremental row appends performed.
         self.appends = 0
+        #: Write transactions committed (one per session-level write).
+        self.commits = 0
+        #: True while the write-lock holder has a :meth:`transaction` open;
+        #: the write methods then join it instead of committing.
+        self._scope_open = False
+        #: Tables fully rewritten inside the open transaction: their
+        #: fingerprints are forgotten if it rolls back.
+        self._unconfirmed: List[Tuple[str, KRelation]] = []
+        #: Whether the ``uadb_stats`` table exists (stores from before the
+        #: statistics layer get it on their first statistics write).
+        self._stats_table = False
         if not create and not os.path.exists(self.path):
             raise StoreError(f"no UA-DB store at {self.path!r}")
         with self._write_lock:
@@ -219,6 +234,50 @@ class UADBStore:
         """Flush this thread's connection (writes commit eagerly anyway)."""
         self.connection().commit()
 
+    @contextmanager
+    def transaction(self) -> Iterator[sqlite3.Connection]:
+        """One write transaction: every store write inside commits together.
+
+        Holds the write lock throughout and starts with ``BEGIN
+        IMMEDIATE``, so the SQLite write lock is taken up front and DDL is
+        inside the transaction.  :meth:`append`, :meth:`save`,
+        :meth:`save_stats` and the version bumps join it instead of
+        committing; a nested call joins the open one.  The body's exception
+        rolls everything back.  So does SQLite itself on some failures
+        (disk full, I/O error, interrupt): the commit then raises
+        :class:`StoreError` rather than commit what ran after it.  Either
+        way the store's own fingerprints of tables rewritten inside are
+        forgotten, so a later sync rewrites them.
+        """
+        with self._write_lock:
+            connection = self.connection()
+            if self._scope_open:
+                yield connection
+                return
+            if not connection.in_transaction:
+                connection.execute("BEGIN IMMEDIATE")
+            self._scope_open = True
+            stats_table = self._stats_table
+            try:
+                yield connection
+                if not connection.in_transaction:
+                    raise StoreError(
+                        f"store {self.path!r}: SQLite rolled the write "
+                        "transaction back")
+                connection.commit()
+            except BaseException:
+                if connection.in_transaction:
+                    connection.rollback()
+                self._stats_table = stats_table
+                for key, relation in self._unconfirmed:
+                    self._synced.pop(key, None)
+                    self._snapshots.pop(id(relation), None)
+                raise
+            finally:
+                self._scope_open = False
+                self._unconfirmed.clear()
+            self.commits += 1
+
     # -- initialization -----------------------------------------------------------
 
     def _initialize(self, connection: sqlite3.Connection,
@@ -236,6 +295,7 @@ class UADBStore:
             ) from exc
         if _META_TABLE in tables:
             self._load_meta(connection, semiring)
+            self._stats_table = _STATS_TABLE in tables
             return
         if tables:
             raise StoreError(
@@ -254,22 +314,23 @@ class UADBStore:
         self.semiring = semiring
         self._catalog_version = 0
         self._stats_version = 0
-        connection.execute(
-            f"CREATE TABLE {_META_TABLE} (key TEXT PRIMARY KEY, value TEXT)"
-        )
-        connection.execute(
-            f"CREATE TABLE {_CATALOG_TABLE} ("
-            "name TEXT PRIMARY KEY, position INTEGER NOT NULL, "
-            "schema_json TEXT NOT NULL)"
-        )
-        connection.executemany(
-            f"INSERT INTO {_META_TABLE} (key, value) VALUES (?, ?)",
-            [("format", str(FORMAT_VERSION)),
-             ("semiring", semiring.name),
-             ("catalog_version", "0"),
-             ("stats_version", "0")],
-        )
-        connection.commit()
+        with self.transaction():
+            connection.execute(
+                f"CREATE TABLE {_META_TABLE} (key TEXT PRIMARY KEY, value TEXT)"
+            )
+            connection.execute(
+                f"CREATE TABLE {_CATALOG_TABLE} ("
+                "name TEXT PRIMARY KEY, position INTEGER NOT NULL, "
+                "schema_json TEXT NOT NULL)"
+            )
+            self._create_stats_table(connection)
+            connection.executemany(
+                f"INSERT INTO {_META_TABLE} (key, value) VALUES (?, ?)",
+                [("format", str(FORMAT_VERSION)),
+                 ("semiring", semiring.name),
+                 ("catalog_version", "0"),
+                 ("stats_version", "0")],
+            )
 
     def _load_meta(self, connection: sqlite3.Connection,
                    semiring: Optional[Semiring]) -> None:
@@ -312,14 +373,12 @@ class UADBStore:
 
     def bump_catalog_version(self) -> int:
         """Advance and persist the catalog version (registration / DDL)."""
-        with self._write_lock:
+        with self.transaction() as connection:
             self._catalog_version += 1
-            connection = self.connection()
             connection.execute(
                 f"UPDATE {_META_TABLE} SET value = ? WHERE key = 'catalog_version'",
                 (str(self._catalog_version),),
             )
-            connection.commit()
             return self._catalog_version
 
     def read_persisted_versions(self) -> Tuple[int, int]:
@@ -376,34 +435,49 @@ class UADBStore:
         created before the statistics layer have no ``stats_version`` meta
         row to update.
         """
-        with self._write_lock:
+        with self.transaction() as connection:
             self._stats_version += 1
-            connection = self.connection()
             connection.execute(
                 f"INSERT OR REPLACE INTO {_META_TABLE} (key, value) "
                 "VALUES ('stats_version', ?)",
                 (str(self._stats_version),),
             )
-            connection.commit()
             return self._stats_version
 
-    def _ensure_stats_table(self, connection: sqlite3.Connection) -> None:
+    def _create_stats_table(self, connection: sqlite3.Connection) -> None:
         connection.execute(
             f"CREATE TABLE IF NOT EXISTS {_STATS_TABLE} "
             "(name TEXT PRIMARY KEY, stats_json TEXT NOT NULL)"
         )
+        self._stats_table = True
 
     def save_stats(self, name: str, stats_json: str) -> None:
-        """Persist the statistics JSON of relation ``name`` (upsert)."""
-        with self._write_lock:
-            connection = self.connection()
-            self._ensure_stats_table(connection)
-            connection.execute(
-                f"INSERT OR REPLACE INTO {_STATS_TABLE} (name, stats_json) "
-                "VALUES (?, ?)",
-                (name.lower(), stats_json),
-            )
-            connection.commit()
+        """Persist the statistics JSON of relation ``name`` (upsert).
+
+        The statement runs behind a savepoint: when it fails, only it is
+        undone and the error propagates, so an enclosing
+        :meth:`transaction` still commits the rows it wrote -- unless
+        SQLite rolled the whole transaction back, which that transaction's
+        commit then reports.  Keep it the last statement of a write.
+        """
+        with self.transaction() as connection:
+            stats_table = self._stats_table
+            connection.execute("SAVEPOINT uadb_stats")
+            try:
+                if not stats_table:
+                    self._create_stats_table(connection)
+                connection.execute(
+                    f"INSERT OR REPLACE INTO {_STATS_TABLE} (name, stats_json) "
+                    "VALUES (?, ?)",
+                    (name.lower(), stats_json),
+                )
+            except BaseException:
+                self._stats_table = stats_table
+                if connection.in_transaction:
+                    connection.execute("ROLLBACK TO uadb_stats")
+                    connection.execute("RELEASE uadb_stats")
+                raise
+            connection.execute("RELEASE uadb_stats")
 
     def load_all_stats(self) -> Dict[str, str]:
         """All persisted statistics as ``{relation name: stats JSON}``.
@@ -419,19 +493,6 @@ class UADBStore:
         except sqlite3.OperationalError:
             return {}
         return {name: payload for name, payload in rows}
-
-    def delete_stats(self, name: str) -> None:
-        """Drop persisted statistics for relation ``name`` (no-op if absent)."""
-        with self._write_lock:
-            connection = self.connection()
-            try:
-                connection.execute(
-                    f"DELETE FROM {_STATS_TABLE} WHERE name = ?",
-                    (name.lower(),),
-                )
-            except sqlite3.OperationalError:
-                return
-            connection.commit()
 
     def relation_names(self) -> List[str]:
         """Display names of the stored relations, in registration order."""
@@ -507,8 +568,7 @@ class UADBStore:
         actually changes.
         """
         key = relation.schema.name.lower()
-        with self._write_lock:
-            connection = self.connection()
+        with self.transaction() as connection:
             self._write_table(connection, key, relation)
             position = connection.execute(
                 f"SELECT position FROM {_CATALOG_TABLE} WHERE name = ?", (key,)
@@ -522,16 +582,18 @@ class UADBStore:
                 "(name, position, schema_json) VALUES (?, ?, ?)",
                 (key, position[0], schema_to_metadata(relation.schema)),
             )
-            connection.commit()
 
     def append(self, relation: KRelation,
                rows: Iterable[Tuple[Row, Any]]) -> None:
         """Incrementally INSERT encoded ``(row, annotation)`` pairs.
 
-        Called *before* the in-memory mutation (write-ahead): a failure
-        rolls back and leaves the fingerprint untouched, so a refused
-        append implies no state change anywhere.  After mirroring the rows
-        into the in-memory relation the caller advances the fingerprint
+        Called *before* the in-memory mutation (write-ahead), normally
+        inside the writer's :meth:`transaction` next to the statistics and
+        the version bump it commits with.  A failure raises
+        :class:`UnstorableRelationError` and rolls back that transaction
+        with the fingerprint untouched, so a refused append implies no
+        state change anywhere.  Once the transaction committed and the
+        in-memory relation caught up, the caller advances the fingerprint
         with :meth:`mark_synced`, keeping the loaded table append-only on
         the insert path (never a wholesale rewrite).
         """
@@ -539,21 +601,18 @@ class UADBStore:
         table = table_name(key)
         placeholders = ", ".join(["?"] * (relation.schema.arity + 1))
         encode = self.ops.encode
-        with self._write_lock:
-            connection = self.connection()
+        with self.transaction() as connection:
             try:
                 connection.executemany(
                     f"INSERT INTO {table} VALUES ({placeholders})",
                     (row + (encode(annotation),) for row, annotation in rows),
                 )
             except (sqlite3.Error, OverflowError, TypeError, ValueError) as exc:
-                connection.rollback()
                 error = UnstorableRelationError(
                     f"relation {key!r} received values SQLite cannot store: {exc}"
                 )
                 error.__cause__ = exc
                 raise error
-            connection.commit()
             self.appends += 1
 
     def mark_synced(self, relation: KRelation) -> None:
@@ -596,46 +655,40 @@ class UADBStore:
                 return False
             if self._snapshot_current(relation):
                 return False
-            connection = self.connection()
-            self._write_table(connection, key, relation)
-            if key not in self:
-                # Out-of-band relation (added to the Database directly, not
-                # through a session): give it a catalog entry so it survives.
-                position = connection.execute(
-                    f"SELECT COUNT(*) FROM {_CATALOG_TABLE}"
-                ).fetchone()[0]
-                connection.execute(
-                    f"INSERT INTO {_CATALOG_TABLE} "
-                    "(name, position, schema_json) VALUES (?, ?, ?)",
-                    (key, position, schema_to_metadata(relation.schema)),
-                )
-            connection.commit()
+            with self.transaction() as connection:
+                self._write_table(connection, key, relation)
+                if key not in self:
+                    # Out-of-band relation (added to the Database directly,
+                    # not through a session): give it a catalog entry so it
+                    # survives.
+                    position = connection.execute(
+                        f"SELECT COUNT(*) FROM {_CATALOG_TABLE}"
+                    ).fetchone()[0]
+                    connection.execute(
+                        f"INSERT INTO {_CATALOG_TABLE} "
+                        "(name, position, schema_json) VALUES (?, ?, ?)",
+                        (key, position, schema_to_metadata(relation.schema)),
+                    )
             return True
 
     def _write_table(self, connection: sqlite3.Connection, key: str,
                      relation: KRelation) -> None:
         """DROP/CREATE the Enc table and bulk-load ``relation`` into it.
 
-        The whole rewrite runs in one transaction: a failure (values SQLite
-        cannot bind) rolls back to the previously persisted table, so a bad
-        in-memory relation can never destroy durable data or leave the
+        Runs inside the caller's :meth:`transaction` (SQLite DDL is
+        transactional): a failure (values SQLite cannot bind) raises and
+        the transaction rolls back to the previously persisted table, so a
+        bad in-memory relation can never destroy durable data or leave the
         catalog pointing at a missing table.
         """
-        table = table_name(key)
-        cursor = connection.cursor()
-        if not connection.in_transaction:
-            # Python's sqlite3 autocommits DDL; an explicit transaction makes
-            # the DROP inside write_enc_table rollback-able (SQLite DDL is
-            # transactional).
-            cursor.execute("BEGIN IMMEDIATE")
         try:
             # Shared physical design with the engine's in-memory loader
             # (type-less columns, per-column indexes, ANALYZE), so query
             # plans and performance match the in-memory configuration.
-            write_enc_table(cursor, table, relation.schema.arity,
-                            self.ops.encode, relation.items())
+            write_enc_table(connection.cursor(), table_name(key),
+                            relation.schema.arity, self.ops.encode,
+                            relation.items())
         except (sqlite3.Error, OverflowError, TypeError, ValueError) as exc:
-            connection.rollback()  # the previously stored table survives
             error = UnstorableRelationError(
                 f"relation {key!r} holds values SQLite cannot store: {exc}"
             )
@@ -646,6 +699,7 @@ class UADBStore:
             raise error
         self._synced[key] = _TableFingerprint(relation, relation._version)
         self._remember_snapshot(relation)
+        self._unconfirmed.append((key, relation))
         self.loads += 1
 
     def load_relation(self, name: str) -> KRelation:
@@ -684,10 +738,13 @@ class UADBStore:
     # -- observability ------------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Write counters for observability and tests."""
+        """Write counters for observability and tests: full table
+        ``loads``, row ``appends``, and ``commits`` -- write transactions,
+        one per INSERT, load chunk or registration."""
         return {
             "loads": self.loads,
             "appends": self.appends,
+            "commits": self.commits,
             "relations": len(self.relation_names()),
             "catalog_version": self._catalog_version,
         }

@@ -24,10 +24,13 @@ that fingerprint (:meth:`StatsCatalog.mark_current`), and
 :meth:`StatsCatalog.refresh` recollects only a relation mutated out of band.
 
 Persistence rides in the WAL store (the ``uadb_stats`` table, see
-:meth:`repro.api.store.UADBStore.save_stats`): statistics survive the
-process alongside the data they describe, and the *stats version* counter
+:meth:`repro.api.store.UADBStore.save_stats`), in the same transaction as
+the rows they describe: statistics survive the process alongside the data,
+and the *stats version* counter
 (:meth:`repro.api.store.UADBStore.stats_version`) invalidates cached plans
-whose join order was chosen under stale statistics.
+whose join order was chosen under stale statistics.  Each sketch caches
+its JSON encoding, so persisting after an INSERT re-encodes only the
+sketches the INSERT moved.
 
 Distinct-value sketches hash with :func:`zlib.crc32` (stable across
 processes), never Python's salted ``hash()``, so persisted sketches merge
@@ -88,7 +91,7 @@ class DistinctSketch:
     sketches is a set union re-capped to ``k``.
     """
 
-    __slots__ = ("k", "hashes", "saturated", "_largest")
+    __slots__ = ("k", "hashes", "saturated", "_largest", "_encoded")
 
     def __init__(self, k: int = SKETCH_SIZE) -> None:
         self.k = k
@@ -98,6 +101,10 @@ class DistinctSketch:
         #: the common no-replacement add O(1); without it every value of a
         #: high-NDV column pays an O(k) scan, which dominates bulk ingest.
         self._largest: Any = None
+        #: Cached :meth:`encoded` text (None = re-encode).  Dropped by every
+        #: change to ``hashes`` *or* ``saturated``: the flag flips on the
+        #: first hash past ``k`` even when that hash is not kept.
+        self._encoded: Optional[str] = None
 
     def add(self, value: Any) -> None:
         """Account one (non-null) value."""
@@ -110,8 +117,11 @@ class DistinctSketch:
             return
         if len(hashes) < self.k:
             hashes.add(hashed)
+            self._encoded = None
             return
-        self.saturated = True
+        if not self.saturated:
+            self.saturated = True
+            self._encoded = None
         largest = self._largest
         if largest is None:
             largest = self._largest = max(hashes)
@@ -119,6 +129,7 @@ class DistinctSketch:
             hashes.discard(largest)
             hashes.add(hashed)
             self._largest = max(hashes)
+            self._encoded = None
 
     def estimate(self) -> int:
         """The estimated number of distinct values seen."""
@@ -131,6 +142,13 @@ class DistinctSketch:
         """JSON-ready form (sorted hashes keep the file diffable)."""
         return {"k": self.k, "saturated": self.saturated,
                 "hashes": sorted(self.hashes)}
+
+    def encoded(self) -> str:
+        """:meth:`to_json` as JSON text with sorted keys, encoded once per
+        change: an insert that moves no hash re-encodes nothing."""
+        if self._encoded is None:
+            self._encoded = json.dumps(self.to_json(), sort_keys=True)
+        return self._encoded
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "DistinctSketch":
@@ -208,6 +226,19 @@ class ColumnStats:
             "maximum": self.maximum if self.orderable else None,
             "orderable": self.orderable,
         }
+
+    def encoded(self) -> str:
+        """:meth:`to_json` as JSON text with sorted keys -- the bytes
+        ``json.dumps(self.to_json(), sort_keys=True)`` gives -- around the
+        sketch's cached encoding."""
+        dumps = json.dumps
+        return ('{"maximum": %s, "minimum": %s, "name": %s, "null_count": %d, '
+                '"orderable": %s, "sketch": %s, "value_count": %d}' % (
+                    dumps(self.maximum if self.orderable else None),
+                    dumps(self.minimum if self.orderable else None),
+                    dumps(self.name), self.null_count,
+                    "true" if self.orderable else "false",
+                    self.sketch.encoded(), self.value_count))
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "ColumnStats":
@@ -296,12 +327,16 @@ class TableStats:
     # -- persistence ---------------------------------------------------------
 
     def to_json(self) -> str:
-        """Serialize for the store's ``uadb_stats`` table."""
-        return json.dumps({
-            "name": self.name,
-            "row_count": self.row_count,
-            "columns": [stats.to_json() for stats in self.columns.values()],
-        }, sort_keys=True)
+        """Serialize for the store's ``uadb_stats`` table.
+
+        Byte-identical to ``json.dumps`` with sorted keys over ``name``,
+        ``row_count`` and each column's :meth:`ColumnStats.to_json`, but
+        built from the sketches' cached encodings: an INSERT re-encodes
+        only the sketches it moved, not every column's 256 hashes.
+        """
+        return '{"columns": [%s], "name": %s, "row_count": %d}' % (
+            ", ".join([stats.encoded() for stats in self.columns.values()]),
+            json.dumps(self.name), self.row_count)
 
     @classmethod
     def from_json(cls, payload: str) -> "TableStats":
@@ -356,17 +391,21 @@ class StatsCatalog:
         self._persist(stats)
         return stats
 
-    def update_rows(self, name: str, rows: Sequence[Row]) -> None:
+    def update_rows(self, name: str, rows: Iterable[Row]) -> bool:
         """Incrementally account inserted ``rows`` (the INSERT hot path).
 
-        Unknown relations are collected lazily on the next :meth:`refresh`;
-        the incremental path never rescans the table.
+        Returns True when the fold is in memory and -- with a store -- on
+        disk; only then may the writer re-pin the statistics
+        (:meth:`mark_current`).  A failed persist is counted and leaves
+        them for the next :meth:`refresh` to recollect, which persists
+        again.  Unknown relations are collected lazily on the next
+        :meth:`refresh`; the incremental path never rescans the table.
         """
         stats = self._tables.get(name.lower())
         if stats is None:
-            return
+            return False
         stats.update_rows(rows)
-        self._persist(stats)
+        return self._persist(stats)
 
     def adopt(self, relation: KRelation) -> TableStats:
         """Trust loaded statistics for ``relation`` or recollect them.
@@ -418,13 +457,16 @@ class StatsCatalog:
                            "in-memory statistics stay in use", action, error)
         self.persist_failures += 1
 
-    def _persist(self, stats: TableStats) -> None:
+    def _persist(self, stats: TableStats) -> bool:
+        """Write ``stats`` to the store; False (counted) when that failed."""
         if self._store is None:
-            return
+            return True
         try:
             self._store.save_stats(stats.name, stats.to_json())
         except _STORE_ERRORS as error:
             self._persist_failed("persist", error)
+            return False
+        return True
 
     def reload(self) -> None:
         """Load persisted statistics from the store (reopen / fleet refresh).

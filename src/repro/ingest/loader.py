@@ -5,10 +5,11 @@ into a :class:`~repro.api.session.Connection` in fixed-size chunks.  Each
 chunk goes through the connection's batched write primitive, so the cost
 profile per chunk -- regardless of how many rows it holds -- is exactly:
 
-* **one** WAL store transaction (a single ``executemany`` + commit),
+* **one** WAL store transaction -- a single ``executemany`` of the rows,
+  the persisted statistics and the version bump, committed together,
 * **one** incremental statistics fold,
-* **one** stats-version bump (plus one catalog bump if the load created
-  the table).
+* **one** stats-version bump (the table's creation, when the load made it,
+  is a transaction of its own).
 
 That per-chunk (never per-row) bookkeeping is what makes bulk ingest
 orders of magnitude faster than row-at-a-time INSERTs, and is the same

@@ -22,12 +22,14 @@ this module extends that to many **processes**.  Two cooperating pieces:
   then the session's ordinary write-ahead append protocol.
 
 Consistency model: SQLite's WAL gives atomic, durable commits per
-transaction; the flock serializes writers across processes; the version poll
-bounds staleness of readers to one request.  A worker crashing mid-INSERT
-leaves either a committed transaction (the rows are durable, the version
-counters may or may not have advanced -- the client never got an
-acknowledgement either way) or a rolled-back one; the next acquirer of the
-lock proceeds against a consistent store in both cases.
+transaction, and each write -- rows, statistics, version counters -- is one
+transaction; the flock serializes writers across processes; the version
+poll bounds staleness of readers to one request.  A worker crashing
+mid-INSERT leaves either a committed transaction (the rows are durable and
+the version counters advance with them, so every sibling's next poll sees
+them) or a rolled-back one (nothing of the write on disk -- the client never
+got an acknowledgement); the next acquirer of the lock proceeds against a
+consistent store in both cases.
 """
 
 from __future__ import annotations

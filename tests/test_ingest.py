@@ -29,7 +29,9 @@ import time
 import pytest
 
 from repro.api import connect
+from repro.api.store import UADBStore
 from repro.db.schema import DataType
+from repro.db.stats import TableStats
 from repro.ingest import (
     BulkLoader,
     CSVSource,
@@ -297,13 +299,15 @@ print("DONE", report.rows, flush=True)
 """
 
 
-def test_sigkill_mid_load_leaves_chunks_atomic(tmp_path):
+def test_sigkill_mid_load_leaves_chunks_atomic(tmp_path, monkeypatch):
     """A loader killed mid-bulk-load must not tear a chunk.
 
-    The subprocess loads many small chunks (one WAL transaction each);
-    the parent SIGKILLs it as soon as some data is visible.  On reopen,
-    WAL replay must show an integral number of chunks, each complete,
-    and the statistics catalog must agree with the surviving rows.
+    The subprocess loads many small chunks (one WAL transaction each,
+    holding the rows, the statistics and the version together); the parent
+    SIGKILLs it as soon as some data is visible.  On reopen, WAL replay
+    must show an integral number of chunks, each complete, and the
+    persisted statistics must be exactly those of the surviving rows --
+    adopted as they are, with nothing recollected.
     """
     store = str(tmp_path / "crash.uadb")
     script = tmp_path / "loader.py"
@@ -319,10 +323,15 @@ def test_sigkill_mid_load_leaves_chunks_atomic(tmp_path):
         # Wait until at least one chunk committed, then kill mid-flight.
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
-            with connect(store=store) as probe:
-                if "events" in probe.uadb.database and \
-                        len(probe.uadb.relation("events")) >= chunk_size:
+            # A bare store read: a probing session could itself write
+            # (recollected) statistics beside the loader's.
+            probe = UADBStore(store, create=False)
+            try:
+                if "events" in probe and \
+                        len(probe.load_relation("events")) >= chunk_size:
                     break
+            finally:
+                probe.close()
             time.sleep(0.01)
         else:
             pytest.fail("loader made no visible progress")
@@ -333,7 +342,16 @@ def test_sigkill_mid_load_leaves_chunks_atomic(tmp_path):
             process.kill()
         process.stdout.close()
         process.stderr.close()
+    collected = []
+    collect = TableStats.collect.__func__
+
+    def counting(cls, relation):
+        collected.append(relation.schema.name)
+        return collect(cls, relation)
+
+    monkeypatch.setattr(TableStats, "collect", classmethod(counting))
     with connect(store=store) as conn:
+        assert collected == []  # the persisted statistics were adopted
         rows = list(conn.uadb.relation("events").rows())
         total = len(rows)
         # The kill landed mid-load (the point of the test); the data that
@@ -346,9 +364,11 @@ def test_sigkill_mid_load_leaves_chunks_atomic(tmp_path):
         for chunk, members in by_chunk.items():
             assert members == set(range(chunk_size)), (
                 f"chunk {chunk} is torn: {len(members)}/{chunk_size} rows")
-        # Statistics adopted on reopen agree with the surviving data.
+        # ... and are exactly those of the surviving data.
         stats = conn.stats.table_stats("events")
         assert stats is not None and stats.row_count == total
+        assert stats.to_json() == \
+            collect(TableStats, conn.encoded.relation("events")).to_json()
         # And the store is fully writable again after the crash.
         conn.load("events", [(99999, -1)], columns=["chunk", "i"])
         assert len(conn.uadb.relation("events")) == total + 1

@@ -4,18 +4,23 @@ Every INSERT folds its rows into the table statistics and nothing
 recollects behind the fold, so the fold has to be exact: after any sequence
 of writes ``connection.stats`` must equal a fresh ``TableStats.collect`` of
 each encoded relation -- row counts, null counts, min/max and the KMV
-sketches, not approximately.
+sketches, not approximately.  The fold persists in the same transaction as
+the rows, so a reopen after the session's own writes recollects nothing;
+and the persisted text, built from cached sketch encodings, is byte for
+byte what ``json.dumps(..., sort_keys=True)`` of the statistics gives.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.db.stats import SKETCH_SIZE, StatsCatalog
+from repro.db.stats import SKETCH_SIZE, StatsCatalog, TableStats, _stable_hash
 
 _keys = st.one_of(st.integers(0, 6), st.integers(-10**6, 10**6))
 _rows = st.tuples(
@@ -99,7 +104,18 @@ def _run(steps, path) -> None:
                 connection.execute("INSERT INTO u VALUES (?)", [step[1]])
             elif kind == "reopen" and path is not None:
                 connection.close()
-                connection = _open(path)
+                collected = []
+                collect = TableStats.collect.__func__
+
+                def counting(cls, relation):
+                    collected.append(relation.schema.name)
+                    return collect(cls, relation)
+
+                with mock.patch.object(TableStats, "collect",
+                                       classmethod(counting)):
+                    connection = _open(path)
+                # Rows and statistics committed together: nothing to redo.
+                assert collected == []
             if not repaired:
                 # An unreported mutation is repaired by the next compile
                 # (a new statement text), and only there.
@@ -120,6 +136,73 @@ def test_memory_session_stats_equal_a_recount(steps):
 @given(st.lists(_steps, max_size=10))
 def test_store_session_stats_equal_a_recount(tmp_path_factory, steps):
     _run(steps, tmp_path_factory.mktemp("fold") / "fold.uadb")
+
+
+_values = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
+                   st.floats(), st.text(max_size=3))
+_folds = st.one_of(
+    st.tuples(st.just("rows"),
+              st.lists(st.tuples(_values, _values, _values), max_size=6)),
+    # Distinct values until that column's sketch holds k hashes ...
+    st.tuples(st.just("fill"), st.integers(0, 2)),
+    # ... then one hashing at or above its largest: the hash set stays the
+    # same, only the saturation flag flips.
+    st.tuples(st.just("above"), st.integers(0, 2)),
+)
+
+
+def _dict_form(stats: TableStats) -> dict:
+    return {"name": stats.name, "row_count": stats.row_count,
+            "columns": [column.to_json() for column in stats.columns.values()]}
+
+
+def _column_row(position: int, value) -> tuple:
+    return tuple(value if index == position else None for index in range(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_folds, max_size=8))
+def test_stats_text_is_byte_identical_to_json_dumps(folds):
+    stats = TableStats("t", ["a", "b", "c"])
+    columns = list(stats.columns.values())
+    for kind, argument in folds:
+        if kind == "rows":
+            stats.update_rows(argument)
+        elif kind == "fill":
+            sketch = columns[argument].sketch
+            filling = itertools.takewhile(
+                lambda _: len(sketch.hashes) < SKETCH_SIZE,
+                (f"fill{n}" for n in itertools.count()))
+            stats.update_rows(_column_row(argument, value)
+                              for value in filling)
+        else:
+            sketch = columns[argument].sketch
+            if len(sketch.hashes) == SKETCH_SIZE:
+                largest = max(sketch.hashes)
+                value = next(n for n in range(10**6)
+                             if _stable_hash(n) >= largest
+                             and _stable_hash(n) not in sketch.hashes)
+            else:
+                value = "above"
+            stats.update_rows([_column_row(argument, value)])
+        # Encoded after every fold, so a stale cached sketch would show.
+        text = stats.to_json()
+        assert text == json.dumps(_dict_form(stats), sort_keys=True)
+        assert TableStats.from_json(text).to_json() == text
+
+
+def test_the_saturation_flag_alone_re_encodes_the_sketch():
+    stats = TableStats("t", ["a"])
+    sketch = stats.columns["a"].sketch
+    stats.update_rows((n,) for n in range(SKETCH_SIZE))
+    assert '"saturated": false' in stats.to_json()
+    hashes = set(sketch.hashes)
+    above = next(n for n in range(SKETCH_SIZE, 10**6)
+                 if _stable_hash(n) > max(hashes))
+    stats.update_rows([(above,)])
+    assert sketch.hashes == hashes and sketch.saturated
+    assert '"saturated": true' in stats.to_json()
+    assert stats.to_json() == json.dumps(_dict_form(stats), sort_keys=True)
 
 
 def test_a_write_after_an_unreported_mutation_leaves_the_repair_to_refresh():
