@@ -62,7 +62,7 @@ def main() -> None:
     print(ua_result.pretty())
 
     # Exact path: symbolic evaluation + tautology checking per result tuple.
-    plan = parse_query(QUERY, conn.uadb.best_guess_database().schema)
+    plan = parse_query(QUERY, conn.catalog)
     evaluator = CTableQueryEvaluator(database)
     exact, elapsed = evaluator.certain_answers(plan)
     print(f"\nExact certain answers (symbolic evaluation, {elapsed * 1000:.1f} ms):")

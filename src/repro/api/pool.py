@@ -5,8 +5,8 @@ missing: where plain :func:`repro.connect` gives every caller a private copy
 of the registered sources, a pool hands out bounded
 :class:`PooledConnection` handles that all share
 
-* **one set of sources** -- the same :class:`~repro.core.uadb.UADatabase`
-  and encoded :class:`~repro.db.database.Database` objects, so a
+* **one set of sources** -- the same encoded
+  :class:`~repro.db.database.Database` objects, so a
   registration or ``INSERT`` through any handle is immediately visible to
   all of them,
 * **one prepared-plan cache** -- a pool-private, lock-guarded

@@ -23,7 +23,6 @@ transparently (see :class:`~repro.api.cache.PlanCache`).
 
 from __future__ import annotations
 
-import itertools
 import logging
 import os
 import re
@@ -61,7 +60,8 @@ from repro.semirings import NATURAL, Semiring
 from repro.core.attribute_bounds import (
     AttributeBoundsRelation, AttributeLabel, Fragment, answer_schema,
     decode_attribute_relation, encode_attribute_relation,
-    is_attribute_encoded, label_fragments, read_attribute_fragments,
+    is_attribute_encoded, label_fragments, logical_schema_from_encoded,
+    read_attribute_fragments,
 )
 from repro.core.attribute_rewriter import rewrite_attribute_plan
 from repro.core.encoding import (
@@ -114,6 +114,14 @@ SQL_TYPES: Dict[str, DataType] = {
 }
 
 _EMPTY_ENV = RowEnvironment((), ())
+
+
+def _derived_from(sources: Dict[str, Tuple[KRelation, int]], name: str,
+                  source: KRelation) -> bool:
+    """True while ``name``'s derived entry describes ``source``: the rule of
+    both derived catalogs, :attr:`Connection.uadb` and attribute mode."""
+    derived_from, version = sources.get(name, (None, -1))
+    return derived_from is source and version == source._version
 
 
 @dataclass
@@ -392,8 +400,8 @@ class Connection:
         elif semiring is None:
             semiring = NATURAL
         self.semiring = semiring
-        self.uadb = UADatabase(semiring, name, engine=engine)
-        #: The encoded backing store the rewritten queries run against.
+        #: The session's one copy of every tuple-level table: its ``Enc``
+        #: encoding, which rewritten queries run against.
         self.encoded = Database(semiring, f"{name}_enc", engine=engine)
         #: Marks the encoded database as store-backed: the SQLite execution
         #: engine then attaches to the store file instead of loading copies.
@@ -416,14 +424,17 @@ class Connection:
         #: the logical ones), persisted in the store's ``uadb_stats`` table
         #: when one is attached.
         self.stats = StatsCatalog(self.store)
-        # Attach to both databases so evaluate() can reach the statistics
-        # through ``database.stats``.
-        self.uadb.database.stats = self.stats
+        # Attached to every execution database so evaluate() can reach the
+        # statistics through ``database.stats``.
         self.encoded.stats = self.stats
-        #: Natively registered attribute-level relations (logical form).
-        self._attribute_relations: Dict[str, AttributeBoundsRelation] = {}
-        #: Their encoded (triple-layout) counterparts, by name.
+        #: The one copy of every natively registered attribute-level
+        #: relation: its triple-layout encoding, by name.
         self._attribute_encoded: Dict[str, KRelation] = {}
+        #: :attr:`uadb`'s relations, each decoded from its encoded table on
+        #: demand and fingerprinted like an attribute-mode entry.
+        self._decoded = UADatabase(semiring, name, engine=engine)
+        self._decoded.database.stats = self.stats
+        self._decoded_sources: Dict[str, Tuple[KRelation, int]] = {}
         #: The execution database of ``"attribute"``-mode plans, filled and
         #: kept current per relation by :meth:`_attribute_execution`.
         self._attribute_database = Database(semiring, f"{name}_attr",
@@ -466,43 +477,39 @@ class Connection:
         )
 
     def _load_from_store(self) -> None:
-        """Populate the catalogs from a (possibly pre-existing) store file."""
+        """Load every stored table (:meth:`_load_table`); nothing is decoded."""
         for name in self.store.relation_names():
-            encoded = self.store.load_relation(name)
-            if is_attribute_encoded(encoded.schema):
-                # Attribute-level tables persist in the triple layout; the
-                # ``#``-marked column names cannot come from the SQL
-                # surface, so the structural check cannot misfire on a
-                # stored UA relation.
-                self._attribute_encoded[name] = encoded
-                self._attribute_relations[name] = decode_attribute_relation(encoded)
-                self.stats.adopt(encoded)
-                continue
-            self.encoded.add_relation(encoded)
-            self.uadb.add_relation(
-                decode_relation(encoded, self.uadb.ua_semiring)
-            )
-            # Adopt persisted statistics when they still match the data;
-            # stores from before the statistics layer get a fresh scan.
-            self.stats.adopt(encoded)
+            self._load_table(name)
+
+    def _load_table(self, name: str) -> None:
+        """(Re)load stored table ``name`` as the session's copy of it, for
+        a reopen and a fleet refresh alike.  The ``#``-marked columns of the
+        attribute layout cannot come from the SQL surface, so the check
+        cannot misfire on a stored UA relation; persisted statistics are
+        adopted when they still match the data."""
+        encoded = self.store.load_relation(name)
+        if is_attribute_encoded(encoded.schema):
+            self._attribute_encoded[name] = encoded
+        else:
+            self.encoded.add_relation(encoded, replace=True)
+        self.stats.adopt(encoded)
 
     # -- source registration ------------------------------------------------------
 
     def _register(self, relation: UARelation) -> None:
         with self._locking.write():
             encoded = encode_relation(relation)
-            name = relation.schema.name
-            if (name in self.uadb.database or name in self.encoded
-                    or name in self._attribute_relations):
-                # Duplicate names fail *before* the store write, so a
-                # duplicate registration cannot clobber the persisted table
-                # of the existing relation.
-                raise SchemaError(f"relation {name!r} already exists")
+            self._check_new_name(relation.schema.name)
             # Persist first: if the store refuses the relation (unbindable
             # values), nothing was registered and the call is retryable.
             self._commit_registration(encoded)
-            self.uadb.add_relation(relation)
             self.encoded.add_relation(encoded)
+
+    def _check_new_name(self, name: str) -> None:
+        """Fail *before* the store write, so a duplicate registration cannot
+        clobber the persisted table of the existing relation."""
+        if name in self.encoded or name in self._attribute_encoded:
+            raise SchemaError(f"relation {name!r} already exists")
 
     def _commit_registration(self, encoded: KRelation) -> None:
         """The durable half of a registration, one store transaction: the
@@ -619,13 +626,10 @@ class Connection:
         self._check_open()
         with self._locking.write():
             name = relation.schema.name
-            if (name in self.uadb.database or name in self.encoded
-                    or name in self._attribute_relations):
-                raise SchemaError(f"relation {name!r} already exists")
+            self._check_new_name(name)
             relation.check_invariant()
             encoded = encode_attribute_relation(relation, self.semiring)
             self._commit_registration(encoded)
-            self._attribute_relations[name] = relation
             self._attribute_encoded[name] = encoded
 
     def register_ua_database(self, uadb: UADatabase) -> None:
@@ -658,9 +662,32 @@ class Connection:
     # -- catalogs -----------------------------------------------------------------
 
     @property
+    def uadb(self) -> UADatabase:
+        """The tuple-level tables as a :class:`UADatabase`: a derived,
+        read-only view of :attr:`encoded`, the session's one copy of them.
+
+        Each relation is decoded on first read and kept until its encoded
+        table's fingerprint moves.  Write through SQL or :attr:`encoded`:
+        a change made to the view reaches neither the store nor the
+        rewritten and attribute modes, and is dropped when its table next
+        changes.
+        """
+        view = self._decoded
+        for encoded in self.encoded:
+            name = encoded.schema.name
+            if not _derived_from(self._decoded_sources, name, encoded):
+                view.add_relation(decode_relation(encoded, view.ua_semiring),
+                                  replace=True)
+                self._decoded_sources[name] = (encoded, encoded._version)
+        return view
+
+    @property
     def catalog(self) -> DatabaseSchema:
         """Schema of the logical (un-encoded) UA relations."""
-        return self.uadb.database.schema
+        catalog = DatabaseSchema()
+        for encoded in self.encoded:
+            catalog.add(decoded_schema(encoded.schema))
+        return catalog
 
     @property
     def encoded_catalog(self) -> DatabaseSchema:
@@ -678,10 +705,10 @@ class Connection:
         registered source.
         """
         catalog = DatabaseSchema()
-        for relation in self._attribute_relations.values():
-            catalog.add(relation.schema)
-        for ua_relation in self.uadb:
-            catalog.add(ua_relation.schema)
+        for encoded in self._attribute_encoded.values():
+            catalog.add(logical_schema_from_encoded(encoded.schema))
+        for schema in self.catalog:
+            catalog.add(schema)
         return catalog
 
     def _attribute_execution(self) -> Tuple[Database, Dict[str, FrozenSet[str]]]:
@@ -691,117 +718,102 @@ class Connection:
         One database for the session's life.  It holds the triple-layout
         encoding of the native attribute relations plus a derived encoding
         of every tuple-level UA relation (all of whose attributes are
-        therefore certain).  Each entry is fingerprinted against its source
-        (identity + mutation count) and re-derived, alone, only when that
-        source is new or was mutated out of band: the session's own inserts
-        append to the entry and advance the fingerprint
-        (:meth:`_append_attribute_rows`), so the warm route is one check
-        per relation.  Every write that changes the map also bumps a
-        version cached plans die on, so no plan compiled against it
-        outlives the data it describes.  Callers hold the session's read
-        lock.
+        therefore certain), decoded transiently from its ``Enc`` table.  Each
+        entry is fingerprinted against its source (identity + mutation
+        count) and re-derived, alone, only when that source is new or was
+        mutated out of band: the session's own inserts append to the entry
+        and advance the fingerprint (:meth:`_append_attribute_rows`), so the
+        warm route is one check per relation.  Every write that changes the
+        map also bumps a version cached plans die on, so no plan compiled
+        against it outlives the data it describes.  Callers hold the
+        session's read lock.
         """
         database = self._attribute_database
         certain = self._attribute_certain
+        sources = self._attribute_sources
         for name, encoded in self._attribute_encoded.items():
-            if not self._attribute_current(name, encoded):
+            if not _derived_from(sources, name, encoded):
                 database.add_relation(encoded, replace=True)
                 certain[name] = \
-                    self._attribute_relations[name].certain_attributes()
-                self._attribute_sources[name] = (encoded, encoded._version)
-        for ua_relation in self.uadb:
-            name = ua_relation.schema.name
-            if not self._attribute_current(name, ua_relation):
-                bounds = AttributeBoundsRelation.from_ua_relation(ua_relation)
+                    decode_attribute_relation(encoded).certain_attributes()
+                sources[name] = (encoded, encoded._version)
+        for encoded in self.encoded:
+            name = encoded.schema.name
+            if not _derived_from(sources, name, encoded):
+                bounds = self._attribute_bounds(encoded)
                 database.add_relation(
                     encode_attribute_relation(bounds, self.semiring),
                     replace=True)
                 certain[name] = bounds.certain_attributes()
-                self._attribute_sources[name] = (ua_relation,
-                                                 ua_relation._version)
+                sources[name] = (encoded, encoded._version)
         return database, certain
 
-    def _attribute_current(self, name: str, source: KRelation) -> bool:
-        """True while ``name``'s attribute-mode entry describes ``source``."""
-        derived_from, version = self._attribute_sources.get(name, (None, -1))
-        return derived_from is source and version == source._version
+    def _attribute_bounds(self, encoded: KRelation) -> AttributeBoundsRelation:
+        """Degenerate attribute-level reading of ``Enc``-encoded rows."""
+        return AttributeBoundsRelation.from_ua_relation(
+            decode_relation(encoded, self._decoded.ua_semiring))
 
-    def _new_attribute_rows(self, ua_relation: UARelation, rows: List[Row],
-                            annotations: Iterable[Any],
-                            ) -> Optional[UARelation]:
-        """What the insert of ``rows`` is about to add to ``ua_relation``'s
-        attribute-mode entry: the batch as a relation of its own.
+    def _attribute_entry_grows(self, encoded: KRelation,
+                               rows: List[Row]) -> bool:
+        """True when inserting ``rows`` into ``encoded`` only appends
+        fragments to its attribute-mode entry.
 
-        None when the entry cannot simply grow -- it is absent or already
-        stale, or the batch raises the multiplicity of a stored tuple (whose
-        fragment would change) -- and is then left for the next
-        attribute-mode read to re-derive.
+        False when the entry is absent or already stale, or the batch
+        raises the multiplicity of a stored tuple (whose fragment would
+        change); the next attribute-mode read then re-derives it.
         """
-        if not self._attribute_current(ua_relation.schema.name, ua_relation):
-            return None
-        added = UARelation(ua_relation.schema, ua_relation.ua_semiring)
-        for row, annotation in zip(rows, annotations):
-            added.add_validated(row, annotation)
-        if any(row in ua_relation for row in added):
-            return None
-        return added
+        return (_derived_from(self._attribute_sources, encoded.schema.name,
+                              encoded)
+                and not any(row + (1,) in encoded or row + (0,) in encoded
+                            for row in rows))
 
-    def _append_attribute_rows(self, ua_relation: UARelation,
-                               added: UARelation) -> None:
-        """Append the encoding of ``added`` (:meth:`_new_attribute_rows`,
-        now inserted) to ``ua_relation``'s attribute-mode entry and advance
-        its fingerprint.  Every range of ``added`` is collapsed, so the
-        certain map stands."""
-        name = ua_relation.schema.name
+    def _append_attribute_rows(self, encoded: KRelation,
+                               encoded_rows: List[Row]) -> None:
+        """Append the fragments of ``encoded_rows``, just inserted into
+        ``encoded`` as tuples new to it (:meth:`_attribute_entry_grows`),
+        to its attribute-mode entry and advance the entry's fingerprint.
+        Every range of them is collapsed, so the certain map stands."""
+        name = encoded.schema.name
+        added = KRelation._from_validated(
+            encoded.schema, self.semiring,
+            {row: encoded.annotation(row) for row in encoded_rows})
         derived = self._attribute_database.relation(name)
         before = derived._version
-        rows = list(encode_attribute_relation(
-            AttributeBoundsRelation.from_ua_relation(added), self.semiring))
+        rows = list(encode_attribute_relation(self._attribute_bounds(added),
+                                              self.semiring))
         for row in rows:
             derived.add_validated(row)
         get_engine(self.engine).appended(
             self._attribute_database, derived, before, rows)
-        self._attribute_sources[name] = (ua_relation, ua_relation._version)
+        self._attribute_sources[name] = (encoded, encoded._version)
 
     def tables(self) -> List[Dict[str, Any]]:
         """Catalog metadata for every registered relation, in creation order.
 
         One dict per relation: ``name``, ``columns`` (dicts with ``name``
         and lower-case ``type``), and ``row_count`` -- the number of
-        distinct annotated tuples in the best-guess world.  Reads under the
-        session's read lock, so pooled callers see a consistent catalog.
-        Serves ``GET /tables`` on the HTTP server.
+        distinct best-guess tuples (of fragments for attribute relations,
+        which also carry ``"annotation": "attribute"``).  Reads the encoded
+        tables under the session's read lock, so pooled callers see a
+        consistent catalog.  Serves ``GET /tables`` on the HTTP server.
         """
         self._check_open()
+
+        def listing(schema: RelationSchema, row_count: int) -> Dict[str, Any]:
+            return {"name": schema.name,
+                    "columns": [{"name": attribute.name,
+                                 "type": attribute.data_type.name.lower()}
+                                for attribute in schema.attributes],
+                    "row_count": row_count}
+
         with self._locking.read():
-            listed = [
-                {
-                    "name": relation.schema.name,
-                    "columns": [
-                        {"name": attribute.name,
-                         "type": attribute.data_type.name.lower()}
-                        for attribute in relation.schema.attributes
-                    ],
-                    "row_count": len(relation),
-                }
-                for relation in self.uadb
-            ]
+            listed = [listing(decoded_schema(encoded.schema),
+                              len({row[:-1] for row in encoded}))
+                      for encoded in self.encoded]
             listed.extend(
-                {
-                    "name": relation.schema.name,
-                    "columns": [
-                        {"name": attribute.name,
-                         "type": attribute.data_type.name.lower()}
-                        for attribute in relation.schema.attributes
-                    ],
-                    # For attribute relations this counts fragments
-                    # (distinct range rows), the analogue of annotated
-                    # tuples.
-                    "row_count": len(relation),
-                    "annotation": "attribute",
-                }
-                for relation in self._attribute_relations.values()
-            )
+                dict(listing(logical_schema_from_encoded(encoded.schema),
+                             len(encoded)), annotation="attribute")
+                for encoded in self._attribute_encoded.values())
             return listed
 
     @property
@@ -861,10 +873,10 @@ class Connection:
     def _entry(self, sql: str, mode: str) -> PreparedPlan:
         """The cached prepared plan for ``sql``; compiles on a miss.
 
-        Compilation reads both catalogs, so it runs under the read lock: a
+        Compilation reads the catalogs, so it runs under the read lock: a
         pooled connection can never compile against catalogs that a
-        concurrent registration (which holds the write lock while mutating
-        the logical and encoded sides in sequence) has half-updated.
+        concurrent registration (which holds the write lock while it
+        commits and adds the table) has half-updated.
         """
         self._check_open()
         key = (sql, mode, self._optimize_resolved())
@@ -965,10 +977,11 @@ class Connection:
                 encoded = self._evaluate_encoded(entry.plan, False, params,
                                                  self.encoded)
                 return _EncodedResult(encoded, time.perf_counter() - started)
-            result = evaluate(entry.plan, self.uadb.database, engine=self.engine,
+            view = self.uadb
+            result = evaluate(entry.plan, view.database, engine=self.engine,
                               optimize=False, params=params)
             relation = UARelation._from_validated(
-                result.schema, self.uadb.ua_semiring, dict(result.items())
+                result.schema, view.ua_semiring, dict(result.items())
             )
         elapsed = time.perf_counter() - started
         return UAQueryResult(relation, elapsed)
@@ -996,8 +1009,13 @@ class Connection:
                     f"supported: {', '.join(sorted(SQL_TYPES))}"
                 )
             attributes.append(Attribute(column.name, SQL_TYPES[type_name]))
-        schema = RelationSchema(statement.name, attributes)
-        self._register(UARelation(schema, self.uadb.ua_semiring))
+        self._create_table(RelationSchema(statement.name, attributes))
+
+    def _create_table(self, schema: RelationSchema) -> None:
+        """Register an empty tuple-level table (``CREATE TABLE``, and the
+        bulk loader's table creation)."""
+        self._check_open()
+        self._register(UARelation(schema, self._decoded.ua_semiring))
 
     def _run_insert(self, statement: InsertStatement, params: Params) -> int:
         rows = self._bind_insert_rows(statement, params)
@@ -1006,7 +1024,7 @@ class Connection:
     def _bind_insert_rows(self, statement: InsertStatement,
                           params: Params) -> List[Row]:
         """Bind one parameter set into the statement's validated row tuples."""
-        schema = self.uadb.relation(statement.table).schema
+        schema = decoded_schema(self.encoded.relation(statement.table).schema)
         for name in statement.columns:
             schema.index_of(name)  # unknown column names fail fast
         binder = ParameterBinder(params)
@@ -1055,11 +1073,12 @@ class Connection:
         moves; the rows, the folded statistics and the advanced data
         version are written and committed as **one** WAL transaction
         however many rows the batch holds; only then does memory change --
-        relations, store and statistics fingerprints, the engine's mirror,
-        the attribute encoding.  So a refused or failed write (unbindable
-        values, a failed commit) raises with no state change anywhere, and
-        a crash leaves rows, statistics and version on disk together or
-        not at all.
+        each row is added once, to the encoded relation (the session's one
+        copy of the table), then the store and statistics fingerprints, the
+        engine's mirror and the attribute encoding advance.  So a refused
+        or failed write (unbindable values, a failed commit) raises with no
+        state change anywhere, and a crash leaves rows, statistics and
+        version on disk together or not at all.
 
         ``uncertain`` optionally flags rows (parallel list) that should be
         loaded as *uncertain* facts: they join the best-guess world with the
@@ -1067,22 +1086,16 @@ class Connection:
         workloads attach at load time.  Without it every row is a
         deterministic fact, certain in every world.
         """
-        base = self.uadb.base_semiring
-        certain_one = self.uadb.ua_semiring.certain_annotation(base.one)
         if uncertain is None:
             encoded_rows = [row + (1,) for row in rows]
-            annotations: Iterable[Any] = itertools.repeat(certain_one)
         else:
-            uncertain_one = self.uadb.ua_semiring.uncertain_annotation(base.one)
             encoded_rows = [row + (0 if flag else 1,)
                             for row, flag in zip(rows, uncertain)]
-            annotations = [uncertain_one if flag else certain_one
-                           for flag in uncertain]
+        one = self.semiring.one
         with self._locking.write():
             # Resolved under the write lock: a fleet refresh (which also
             # holds this lock) may swap the catalog's relation objects for
             # freshly loaded copies between two batches of one bulk load.
-            ua_relation: UARelation = self.uadb.relation(table)
             encoded_relation = self.encoded.relation(table)
             # The writer advances every mirror of the table that described
             # it until now -- store table, statistics, engine mirror,
@@ -1095,8 +1108,7 @@ class Connection:
                 # set: the fold merges in any order).
                 new_tuples = {row for row in encoded_rows
                               if row not in encoded_relation}
-            attribute_rows = self._new_attribute_rows(ua_relation, rows,
-                                                      annotations)
+            grows = self._attribute_entry_grows(encoded_relation, rows)
 
             def write(persist: bool) -> bool:
                 if persist:
@@ -1104,7 +1116,6 @@ class Connection:
                         # Out-of-band mutation: one full rewrite restores
                         # coherence before the append.
                         self.store.save(encoded_relation)
-                    one = self.semiring.one
                     self.store.append(encoded_relation,
                                       ((row, one) for row in encoded_rows))
                 # The data version other readers go by (cached plans, the
@@ -1116,20 +1127,18 @@ class Connection:
 
             persisted, folded = self._commit(table, write)
             before = encoded_relation._version
-            for row, encoded_row, ua_annotation in zip(rows, encoded_rows,
-                                                       annotations):
+            for encoded_row in encoded_rows:
                 # The batch was validated above; skip per-add re-validation
                 # on the hot path.
-                ua_relation.add_validated(row, ua_annotation)
-                encoded_relation.add_validated(encoded_row, base.one)
+                encoded_relation.add_validated(encoded_row, one)
             if persisted:
                 self.store.mark_synced(encoded_relation)
             if folded:
                 self.stats.mark_current(encoded_relation)
             get_engine(self.engine).appended(
                 self.encoded, encoded_relation, before, encoded_rows)
-            if attribute_rows is not None:
-                self._append_attribute_rows(ua_relation, attribute_rows)
+            if grows:
+                self._append_attribute_rows(encoded_relation, encoded_rows)
         return len(rows)
 
     # -- EXPLAIN -------------------------------------------------------------------
@@ -1179,14 +1188,14 @@ class Connection:
                          + ", ".join(report["certain_columns"]))
             lines.append("result width: {fetched} of {canonical}".format(
                 **report["result_width"]))
-        certain_one = self.uadb.ua_semiring.certain_annotation(
-            self.uadb.base_semiring.one)
+        ua_semiring = self._decoded.ua_semiring
+        certain_one = ua_semiring.certain_annotation(self.semiring.one)
         # Number the lines so two identical plan lines stay distinct rows
         # under set semantics.
         items = {(index, line): certain_one
                  for index, line in enumerate(lines, start=1)}
         relation = UARelation._from_validated(
-            self._EXPLAIN_SCHEMA, self.uadb.ua_semiring, items)
+            self._EXPLAIN_SCHEMA, ua_semiring, items)
         return UAQueryResult(relation, time.perf_counter() - started)
 
     def explain(self, sql: str, mode: str = "rewritten") -> Dict[str, Any]:
@@ -1389,7 +1398,7 @@ class Connection:
         return result, elapsed
 
     def __repr__(self) -> str:
-        state = "closed" if self._closed else f"{len(self.uadb)} relations"
+        state = "closed" if self._closed else f"{len(self.encoded)} relations"
         backing = f" store={self.store.path!r}" if self.store is not None else ""
         return f"<Connection {self.name!r} [{self.semiring.name}] {state}{backing}>"
 

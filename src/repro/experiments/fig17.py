@@ -58,7 +58,7 @@ def run(queries: Optional[Sequence[str]] = None, num_crimes: int = 400,
         overhead = 100.0 * (ua_time - det_time) / det_time if det_time > 0 else 0.0
 
         # Ground-truth certain answers via exact confidence over the U-relations.
-        plan = parse_query(sql, conn.uadb.best_guess_database().schema)
+        plan = parse_query(sql, conn.catalog)
         possible, _ = maybms.query(plan)
         truth_certain = maybms.certain_rows(possible, exact=True)
         labeled_certain = ua_result.certain_rows()

@@ -44,7 +44,7 @@ def run(block_sizes: Sequence[int] = (2, 5, 10, 20),
         conn = connect(NATURAL, "bidb", cache_size=0)
         conn.register_xdb(instance.xdb)
         maybms = MayBMSDatabase.from_xdb(instance.xdb)
-        catalog = conn.uadb.best_guess_database().schema
+        catalog = conn.catalog
 
         for name in queries:
             sql = qp_query(name, instance.probe_index)

@@ -215,8 +215,9 @@ class BulkLoader:
     # -- schema resolution --------------------------------------------------------
 
     def _existing_schema(self) -> Optional[RelationSchema]:
-        if self.table in self.connection.uadb.database:
-            return self.connection.uadb.relation(self.table).schema
+        catalog = self.connection.catalog
+        if self.table in catalog:
+            return catalog.get(self.table)
         return None
 
     def _infer_schema(self, first_chunk: List[Record],
@@ -300,10 +301,7 @@ class BulkLoader:
                     f"cannot infer a schema for new table {self.table!r} "
                     f"from an empty source")
             schema = self._infer_schema(first_chunk, source)
-            from repro.core.uadb import UARelation
-
-            self.connection.register_ua_relation(
-                UARelation(schema, self.connection.uadb.ua_semiring))
+            self.connection._create_table(schema)
             report.created = True
         bind = self._make_binder(schema, source)
         chunk = first_chunk

@@ -48,7 +48,6 @@ except ImportError:  # pragma: no cover - Windows fallback, single-process
 
 from repro.api.pool import ConnectionPool
 from repro.api.store import StoreError
-from repro.core.encoding import decode_relation
 
 __all__ = ["FleetWriteLock", "StoreCoordinator", "WriteLockTimeout"]
 
@@ -259,17 +258,12 @@ class StoreCoordinator:
 
     def _refresh(self, core, versions: Tuple[int, int]) -> None:
         """Reload the catalog from the store (caller holds the writer lock)."""
-        store = self.store
-        store.adopt_versions(*versions)
-        # Persisted statistics first: adopt() below pins them to the
-        # freshly loaded relations when the row counts still match.
+        self.store.adopt_versions(*versions)
+        # Persisted statistics first: the loader's adopt() pins them to the
+        # freshly loaded tables when the row counts still match.  Reopening
+        # a store runs the same loader, attribute-level tables included.
         core.stats.reload()
-        for name in store.relation_names():
-            encoded = store.load_relation(name)
-            core.encoded.add_relation(encoded, replace=True)
-            core.uadb.add_relation(
-                decode_relation(encoded, core.uadb.ua_semiring), replace=True)
-            core.stats.adopt(encoded)
+        core._load_from_store()
         core.plan_cache.bump_catalog_version()
         core.plan_cache.bump_stats_version()
         self.refreshes += 1

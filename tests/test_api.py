@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.api import Connection, PlanCache, PreparedStatement, SessionError, connect
+from repro.core.uadb import UARelation
 from repro.db.params import ParameterError
 from repro.db.relation import bag_relation
 from repro.db.schema import DataType, RelationSchema, SchemaError
@@ -498,3 +499,15 @@ def test_shared_cache_concurrent_cursors_are_safe():
     for thread in threads:
         thread.join()
     assert errors == []
+
+
+def test_tables_row_count_counts_distinct_best_guess_tuples():
+    """A tuple with a certain and an uncertain copy is two encoded rows and
+    one best-guess tuple."""
+    conn = connect()
+    relation = UARelation(RelationSchema("t", ["a"]), conn.uadb.ua_semiring)
+    relation.add_tuple((1,), certain=1, determinized=2)
+    conn.register_ua_relation(relation)
+    assert len(conn.encoded.relation("t")) == 2
+    assert [table["row_count"] for table in conn.tables()] == [1]
+    conn.close()

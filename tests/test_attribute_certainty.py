@@ -268,7 +268,7 @@ def test_registration_and_insert_recompile_against_current_data():
         # an out-of-band mutation was never reported: both re-derive.
         connection.execute("INSERT INTO r VALUES (2, 8)")
         _assert_state_matches_data(connection)
-        connection.uadb.relation("r").add((5, 5))
+        connection.encoded.relation("r").add((5, 5, 1))
         _assert_state_matches_data(connection)
         assert database.relation("r") is not derived
 

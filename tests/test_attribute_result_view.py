@@ -67,12 +67,16 @@ _fragments = st.lists(
     min_size=1, max_size=6)
 
 
-def _connection(engine: str, fragments) -> repro.Connection:
-    conn = repro.connect(engine=engine, name=f"view-{engine}")
+def _relation_u(fragments) -> AttributeBoundsRelation:
     u = AttributeBoundsRelation(RelationSchema("u", ["k", "x", "s"]))
     for ranges, multiplicity in fragments:
         u.add_bounded(ranges, multiplicity)
-    conn.register_attribute_relation(u)
+    return u
+
+
+def _connection(engine: str, fragments) -> repro.Connection:
+    conn = repro.connect(engine=engine, name=f"view-{engine}")
+    conn.register_attribute_relation(_relation_u(fragments))
     conn.execute("CREATE TABLE c (k INT, v INT)")
     conn.executemany("INSERT INTO c VALUES (?, ?)",
                      [(0, 1), (1, 1), (1, 3), (2, 0)])
@@ -177,8 +181,7 @@ def test_only_relation_assembles_a_bounds_relation(monkeypatch):
     """The optimisation, pinned without timing."""
     conn = _connection("sqlite", _mixed_fragments())
     attribute = repro.connect(annotation="attribute", engine="sqlite")
-    attribute.register_attribute_relation(
-        conn._attribute_relations["u"])
+    attribute.register_attribute_relation(_relation_u(_mixed_fragments()))
     sql = "SELECT k, x, s FROM u"
     expected = conn.query_bounds(sql).labeled_rows()
     attribute.execute(sql)
@@ -289,7 +292,7 @@ def test_result_is_a_snapshot(engine):
     expected = (before.labeled_rows(), before.bounded_rows(), before.relation)
     results = [conn.query_bounds("SELECT * FROM t") for _ in range(3)]
     conn.execute("INSERT INTO t VALUES (100, 100)")
-    conn.uadb.relation("t").add_tuple((200, 200), certain=1, determinized=1)
+    conn.encoded.relation("t").add((200, 200, 1))
     assert results[0].labeled_rows() == expected[0]
     assert results[1].bounded_rows() == expected[1]
     assert results[2].relation == expected[2]

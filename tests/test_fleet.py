@@ -33,7 +33,9 @@ import pytest
 import repro
 from differential import build_source, random_query
 from fleetlib import SRC, FleetProcess
+from repro.api import session as session_module
 from repro.api.pool import ConnectionPool
+from repro.core.attribute_bounds import AttributeBoundsRelation
 from repro.db.schema import RelationSchema
 from repro.incomplete.tidb import TIDatabase
 from repro.server import (AuthError, BadRequestError, Client, RateLimitedError,
@@ -388,6 +390,43 @@ def test_two_pools_coordinate_over_one_store(tmp_path):
     refreshes = coordinator_a.refreshes
     coordinator_a.ensure_fresh()
     assert coordinator_a.refreshes == refreshes
+    pool_a.close()
+    pool_b.close()
+
+
+def test_refresh_adopts_a_sibling_attribute_relation_decoding_nothing(
+        tmp_path, monkeypatch):
+    """A refresh loads every stored table the way reopening does: an
+    attribute relation another pool registered stays attribute-level."""
+    store_path = _store_with_readings(tmp_path, "attr")
+    pool_a = ConnectionPool(store_path, engine="sqlite", name="attr-a")
+    pool_b = ConnectionPool(store_path, engine="sqlite", name="attr-b")
+    coordinator_a = StoreCoordinator(pool_a)
+    coordinator_b = StoreCoordinator(pool_b)
+    bounds = AttributeBoundsRelation(RelationSchema("r", ["k", "v"]))
+    bounds.add_row((1, 5), lower=(1, 4), upper=(1, 9))
+    bounds.add_row((2, 7), multiplicity=(0, 1, 1))
+    with coordinator_a.write():
+        with pool_a.connection() as conn:
+            conn.register_attribute_relation(bounds)
+    decoded = []
+    for name in ("decode_relation", "decode_attribute_relation"):
+        original = getattr(session_module, name)
+        monkeypatch.setattr(session_module, name,
+                            lambda *args, _f=original, **kwargs:
+                            decoded.append(args) or _f(*args, **kwargs))
+    coordinator_b.ensure_fresh()
+    assert coordinator_b.refreshes == 1
+    assert decoded == []
+    sql = "SELECT k, v FROM r"
+    with pool_a.connection() as a, pool_b.connection() as b:
+        assert b.query_bounds(sql).bounded_rows() \
+            == a.query_bounds(sql).bounded_rows()
+        listed = [table for table in b.tables() if table["name"] == "r"]
+        assert len(listed) == 1 and listed[0]["annotation"] == "attribute"
+        assert [schema.name for schema in b.catalog] == ["readings"]
+        assert not any("#" in name for schema in b.encoded_catalog
+                       for name in schema.attribute_names)
     pool_a.close()
     pool_b.close()
 

@@ -14,7 +14,9 @@ import pytest
 
 import repro
 from repro.api import session as session_module
+from repro.core.uadb import UARelation
 from repro.db.engine.sqlite import SQLiteEngine
+from repro.db.relation import KRelation
 from repro.db.stats import TableStats
 
 EVENTS = [(key, f"k{key % 7}", key % 100) for key in range(300)]
@@ -140,8 +142,7 @@ def test_own_insert_then_read_rebuilds_nothing(session, path):
 def test_unreported_mutation_rebuilds_that_table_once(session):
     connection, counters = session
     row = (400, "side", 4)
-    # Behind the session's back, on both catalogs a read might go through.
-    connection.uadb.relation("events").add(row)
+    # Behind the session's back, on the session's one copy of the table.
     connection.encoded.relation("events").add(row + (1,))
     sql = "SELECT id, kind FROM events WHERE id = 400"
     assert len(_answer(connection, sql)) == 1
@@ -178,5 +179,55 @@ def test_raised_multiplicity_rederives_only_that_attribute_entry(monkeypatch):
             == [(((1, 1, 1),), (1, 1, 1)), (((2, 2, 2),), (2, 2, 2))]
         assert counters.encoded == [("r", 2)]
         assert counters.collected == []
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("path", ["memory", "store"], indirect=True)
+def test_tuple_mode_writes_and_reads_build_no_decoded_relation(path,
+                                                               monkeypatch):
+    """The encoded table is the session's one copy: writing to it and
+    reading it back never decodes it."""
+    connection = _open(path, "tuple", SQLiteEngine())
+    try:
+        connection.execute("CREATE TABLE events (id INT, kind STRING, v INT)")
+        connection.load("events", EVENTS)
+        built = []
+        decode = session_module.decode_relation
+        monkeypatch.setattr(session_module, "decode_relation",
+                            lambda *args, **kwargs:
+                            built.append(args) or decode(*args, **kwargs))
+        construct = UARelation.__init__
+        monkeypatch.setattr(UARelation, "__init__",
+                            lambda self, *args, **kwargs:
+                            built.append(self) or construct(self, *args,
+                                                            **kwargs))
+        insert = connection.prepare("INSERT INTO events VALUES (?, ?, ?)")
+        read = connection.prepare(READ)
+        for key in range(300, 310):
+            insert.execute([key, "new", 1])
+            assert read.execute([key]).labeled_rows() \
+                == [((key, "new", 1), True)]
+        assert built == []
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("engine", ["row", "sqlite"])
+def test_insert_adds_each_row_once(engine, monkeypatch):
+    connection = repro.connect(engine=engine)
+    try:
+        connection.execute("CREATE TABLE t (a INT, b INT)")
+        added = []
+        add = KRelation.add_validated
+        monkeypatch.setattr(KRelation, "add_validated",
+                            lambda self, row, annotation=None:
+                            added.append(row) or add(self, row, annotation))
+        connection.executemany("INSERT INTO t VALUES (?, ?)",
+                               [(1, 1), (2, 2), (2, 2)])
+        connection.execute("INSERT INTO t VALUES (3, 3)")
+        assert added == [(1, 1, 1), (2, 2, 1), (2, 2, 1), (3, 3, 1)]
+        assert connection.query("SELECT a FROM t").rows() \
+            == [(1,), (2,), (3,)]
     finally:
         connection.close()

@@ -18,7 +18,9 @@ import sys
 import pytest
 
 import repro
+from repro.api import session as session_module
 from repro.api.store import StoreError, UADBStore, UnstorableRelationError
+from repro.core.attribute_bounds import AttributeBoundsRelation
 from repro.core.encoding import schema_from_metadata, schema_to_metadata
 from repro.db.relation import KRelation
 from repro.db.schema import Attribute, DataType, RelationSchema
@@ -71,6 +73,36 @@ def test_register_insert_close_reopen_bit_identical(tmp_path):
     assert sorted(result.certain_rows()) == [("s1",)]
     # s2 (p=0.7) is best-guess but uncertain; s3 (p=0.4) is not best-guess.
     assert result.uncertain_rows() == [("s2",)]
+    reopened.close()
+
+
+def test_reopen_loads_the_encoded_tables_and_decodes_nothing(tmp_path,
+                                                             monkeypatch):
+    path = str(tmp_path / "one-copy.uadb")
+    conn = repro.connect(path)
+    conn.register_tidb(_tidb())
+    bounds = AttributeBoundsRelation(RelationSchema("r", ["k", "v"]))
+    bounds.add_row((1, 5), lower=(1, 4), upper=(1, 9))
+    conn.register_attribute_relation(bounds)
+    listed = conn.tables()
+    conn.close()
+    decoded = []
+    for name in ("decode_relation", "decode_attribute_relation"):
+        original = getattr(session_module, name)
+        monkeypatch.setattr(session_module, name,
+                            lambda *args, _f=original, **kwargs:
+                            decoded.append(args) or _f(*args, **kwargs))
+    reopened = repro.connect(path)
+    assert reopened.tables() == listed
+    assert [schema.name for schema in reopened.attribute_catalog] \
+        == ["r", "readings"]
+    assert decoded == []
+    # The view decodes on first read, and only then.
+    assert sorted(reopened.uadb.relation("readings").rows()) \
+        == [("s1", 71), ("s2", 64)]
+    assert len(decoded) == 1
+    reopened.uadb
+    assert len(decoded) == 1
     reopened.close()
 
 
