@@ -195,6 +195,7 @@ class ConnectionPool:
         #: close(drain=True): the closing thread cannot drain itself).
         self._owners: Dict[int, int] = {}
         self._acquired_total = 0
+        self._waits = 0
         self._closed = False
         self._finalized = False
         self._core = Connection(
@@ -213,15 +214,14 @@ class ConnectionPool:
         """
         if self._closed:
             raise PoolError("connection pool is closed")
-        if timeout is None:
-            acquired = self._semaphore.acquire()
-        else:
-            acquired = self._semaphore.acquire(timeout=timeout)
-        if not acquired:
-            raise PoolTimeout(
-                f"no pooled connection became available within {timeout}s "
-                f"({self.max_connections} in use)"
-            )
+        if not self._semaphore.acquire(blocking=False):
+            with self._state:
+                self._waits += 1
+            if not self._semaphore.acquire(timeout=timeout):
+                raise PoolTimeout(
+                    f"no pooled connection became available within "
+                    f"{timeout}s ({self.max_connections} in use)"
+                )
         with self._state:
             # Re-checked under the state lock: close(drain=True) decides
             # "idle, safe to finalize" under this same lock, so a checkout
@@ -288,15 +288,24 @@ class ConnectionPool:
         """The execution-engine spec every pooled statement runs on."""
         return self._core.engine
 
-    def stats(self) -> Dict[str, Any]:
-        """Pool, plan-cache and store counters in one snapshot."""
+    def usage(self) -> Dict[str, Any]:
+        """Checkout counters only, read under the state lock (no I/O).
+
+        ``waits`` counts acquires that found every connection checked out
+        and so had to block (or, with ``timeout=0``, failed at once).
+        """
         with self._state:
-            stats: Dict[str, Any] = {
+            return {
                 "max_connections": self.max_connections,
                 "in_use": self._in_use,
                 "acquired_total": self._acquired_total,
+                "waits": self._waits,
                 "closed": self._closed,
             }
+
+    def stats(self) -> Dict[str, Any]:
+        """Pool, plan-cache and store counters in one snapshot."""
+        stats = self.usage()
         stats["plan_cache"] = self.plan_cache.stats()
         if self.store is not None:
             stats["store"] = self.store.stats()

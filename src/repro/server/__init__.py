@@ -16,9 +16,12 @@ Three ways in, all stdlib-only (``asyncio`` streams, no web framework):
 
 Endpoints: ``POST /query`` (SELECT, optional NDJSON streaming),
 ``POST /execute`` (DDL/DML), ``GET /tables``, ``GET /healthz``,
-``GET /metrics``.  Queries run on a worker-thread executor (the event loop
-never blocks on the GIL-bound engines) and concurrently under the pool's
-shared read lock; writes serialize through its writer lock.  Typed errors
+``GET /metrics``.  Queries run on a worker-thread executor, concurrently
+under the pool's shared read lock; writes serialize through its writer
+lock.  A cheap ``/query`` cache miss on an otherwise idle server -- no
+refresh due, nothing else in flight, the statement's last answer under
+``sys.getswitchinterval()`` -- is answered on the event loop instead, as a
+cache hit is (rule in :mod:`repro.server.app`).  Typed errors
 from every layer map to JSON ``{"error": {"code", "message", "retryable"}}``
 bodies -- see ``ERROR_MAP`` in :mod:`repro.server.app` -- which the client
 raises as a typed exception hierarchy rooted at :class:`ServerError`.

@@ -18,11 +18,20 @@ serves five endpoints over the pool:
 * ``GET /metrics``   -- request counts, latency percentiles, plan-cache hit
   rate and pool saturation.
 
-The event loop never runs a query itself: statements are dispatched to a
-worker-thread executor (queries and the GIL-bound engines block threads, not
-the loop), sized to the pool so a request can always check a connection out.
-Reads run concurrently under the pool's shared lock; writes serialize behind
-its writer lock.  Typed exceptions from every layer -- SQL syntax and
+Statements run on a worker-thread executor sized to the pool, so a request
+can always check a connection out; reads run concurrently under the pool's
+shared lock and writes serialize behind its writer lock.  One exception
+skips the thread hop: a result-cache miss of a non-streamed ``POST /query``
+is answered on the event loop itself -- the way a cache hit already is --
+when (a) the version poll the request makes says no refresh is due, (b) no
+other request of this server is in flight and no pooled connection is
+checked out (the loop then never waits on the pool, its lock or a refresh;
+the checkout does not block, and a failed one falls back to the executor),
+and (c) the same statement (normalized SQL and mode) last answered in under
+``sys.getswitchinterval()`` -- no longer than a worker thread holding the
+GIL may already keep the loop waiting.  A first-seen or slow statement, a
+due refresh, a busy server, a streamed answer and every other endpoint take
+the executor.  Typed exceptions from every layer -- SQL syntax and
 translation errors, :class:`~repro.db.params.ParameterError`,
 :class:`~repro.db.engine.base.UnknownEngineError`,
 :class:`~repro.api.store.StoreError`, pool exhaustion -- map to structured
@@ -40,8 +49,10 @@ import asyncio
 import json
 import logging
 import os
+import sys
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -57,7 +68,7 @@ from repro.db.sql.translator import TranslationError
 from repro.ingest.sources import IngestError
 from repro.server import http
 from repro.server.fleet.auth import SecurityPolicy
-from repro.server.fleet.cache import ResultCache
+from repro.server.fleet.cache import ResultCache, normalize_sql
 from repro.server.fleet.coordination import StoreCoordinator, WriteLockTimeout
 from repro.server.fleet.metrics_exchange import MetricsExchange, aggregate_fleet
 from repro.server.http import HTTPError, Request, json_bytes
@@ -182,6 +193,10 @@ class UADBServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._clients: set = set()
         self._busy: set = set()
+        #: (normalized SQL, mode) -> seconds its last answer took; rule (c).
+        self._answer_seconds: "OrderedDict[Tuple[str, str], float]" = (
+            OrderedDict())
+        self._answer_lock = threading.Lock()
         self._routes = {
             "/query": ("POST", self._handle_query),
             "/execute": ("POST", self._handle_execute),
@@ -399,26 +414,31 @@ class UADBServer:
         stream = bool(payload.get("stream", False))
         loop = asyncio.get_running_loop()
         if not stream:
+            # One indexed SQLite read, safe on the loop; None = refresh due.
+            versions = self.coordinator.poll()
             cache = self.result_cache
-            if cache is not None and cache.enabled:
-                # Fast path: when no foreign write is pending (one indexed
-                # SQLite read, safe on the loop) and the body is cached,
-                # answer without the executor round trip.  A due refresh or
-                # a cache miss falls through to the worker-thread path.
-                versions = self.coordinator.poll()
-                if versions is not None:
-                    key = ResultCache.key(sql, params, mode,
-                                          self._engine_name(), *versions)
-                    body = cache.peek(key)
-                    if body is not None:
-                        writer.write(http.render_response(
-                            200, body, keep_alive=request.keep_alive,
-                            extra_headers={"X-UADB-Cache": "hit"}))
-                        return 200
-            body, cached = await loop.run_in_executor(
-                self._executor, self._run_query_cached, sql, params, mode)
+            answer = None
+            if versions is not None and cache is not None and cache.enabled:
+                body = cache.peek(ResultCache.key(
+                    sql, params, mode, self._engine_name(), *versions))
+                if body is not None:
+                    answer, path = (body, True), "inline_hit"
+            if answer is None and self._answers_inline(sql, mode, versions):
+                try:
+                    answer = self._answer(sql, params, mode, versions,
+                                          timeout=0)
+                    path = "inline_miss"
+                except PoolTimeout:
+                    pass  # a checkout raced in: the executor may wait
+            if answer is None:
+                answer = await loop.run_in_executor(
+                    self._executor, self._answer, sql, params, mode,
+                    versions, self.checkout_timeout)
+                path = "executor"
+            self.metrics.count_query_path(path)
+            body, cached = answer
             extra = ({"X-UADB-Cache": "hit" if cached else "miss"}
-                     if self.result_cache is not None else None)
+                     if cache is not None else None)
             writer.write(http.render_response(200, body,
                                               keep_alive=request.keep_alive,
                                               extra_headers=extra))
@@ -426,6 +446,7 @@ class UADBServer:
         columns, types, rows, certain, bounds, elapsed = (
             await loop.run_in_executor(
                 self._executor, self._run_query, sql, params, mode))
+        self.metrics.count_query_path("executor")
         summary = {
             "row_count": len(rows),
             "certain_count": sum(certain),
@@ -477,29 +498,42 @@ class UADBServer:
         await writer.drain()
         self.metrics.add_streamed_rows(len(rows))
 
-    def _run_query_cached(self, sql: str, params, mode: str):
-        """Worker-thread body of non-streamed ``POST /query``.
+    def _answers_inline(self, sql: str, mode: str, versions) -> bool:
+        """Rules (a)-(c) of the module docstring for a cache miss."""
+        if versions is None or len(self._busy) != 1:
+            return False
+        last = self._answer_seconds.get((normalize_sql(sql), mode))
+        return (last is not None and last < sys.getswitchinterval()
+                and self.pool.usage()["in_use"] == 0)
 
-        Refreshes from cross-process writes, then answers from the result
-        cache when the exact (SQL, params, mode, engine, catalog version,
-        statistics version) body was rendered before; the version pair makes
-        invalidation exact -- any write, local or foreign, changes the key.
+    def _answer(self, sql: str, params, mode: str, versions,
+                timeout: float):
+        """Answer one non-streamed ``POST /query``, on the loop or a thread.
+
+        ``versions`` None (the loop's poll found a refresh due; only ever
+        on a worker thread) first adopts cross-process writes.  Checks a
+        connection out (``timeout=0`` on the loop, so it never waits),
+        then answers from the result cache when the exact (SQL,
+        params, mode, engine, catalog version, statistics version) body was
+        rendered before -- the version pair makes invalidation exact: any
+        write, local or foreign, changes the key -- or executes, labels,
+        encodes and caches it, noting how long that took for rule (c).
         Returns ``(body bytes, served-from-cache flag)``.
         """
-        versions = self.coordinator.ensure_fresh()
-        cache = self.result_cache
-        key = None
-        if cache is not None and cache.enabled:
-            key = ResultCache.key(sql, params, mode, self._engine_name(),
-                                  *versions)
-            body = cache.get(key)
-            if body is not None:
-                return body, True
-        columns, types, rows, certain, bounds, elapsed = self._execute_query(
-            sql, params, mode)
-        # Results are unbounded, so the (potentially large) JSON encode
-        # happens here on the worker thread -- the event loop only ships
-        # bytes.
+        if versions is None:
+            versions = self.coordinator.ensure_fresh()
+        with self.pool.connection(timeout=timeout) as conn:
+            cache = self.result_cache
+            key = None
+            if cache is not None and cache.enabled:
+                key = ResultCache.key(sql, params, mode, self._engine_name(),
+                                      *versions)
+                body = cache.get(key)
+                if body is not None:
+                    return body, True
+            started = time.perf_counter()
+            columns, types, rows, certain, bounds, elapsed = (
+                self._execute_query(conn, sql, params, mode))
         payload: Dict[str, Any] = {
             "columns": columns, "types": types,
             "rows": rows, "certain": certain,
@@ -512,15 +546,22 @@ class UADBServer:
         body = json_bytes(payload)
         if key is not None:
             cache.put(key, body)
+        statement = (normalize_sql(sql), mode)
+        with self._answer_lock:
+            self._answer_seconds[statement] = time.perf_counter() - started
+            self._answer_seconds.move_to_end(statement)
+            while len(self._answer_seconds) > self.pool.plan_cache.max_size:
+                self._answer_seconds.popitem(last=False)
         return body, False
 
     def _run_query(self, sql: str, params, mode: str):
         """Worker-thread body of streamed ``POST /query`` (no result cache)."""
         self.coordinator.ensure_fresh()
-        return self._execute_query(sql, params, mode)
+        with self.pool.connection(timeout=self.checkout_timeout) as conn:
+            return self._execute_query(conn, sql, params, mode)
 
-    def _execute_query(self, sql: str, params, mode: str):
-        """Check out a connection, execute, and label rows with certainty.
+    def _execute_query(self, conn, sql: str, params, mode: str):
+        """Execute on a checked-out connection and label rows with certainty.
 
         Returns ``(columns, types, rows, certain, bounds, elapsed)``;
         ``bounds`` is ``None`` for the tuple-level modes and, in mode
@@ -528,24 +569,23 @@ class UADBServer:
         fragment's per-cell ``[lower, best, upper]`` triples and its
         ``[m_lb, m_bg, m_ub]`` multiplicity.
         """
-        with self.pool.connection(timeout=self.checkout_timeout) as conn:
-            if conn.statement_kind(sql, mode=mode) not in ("select", "explain"):
-                raise HTTPError(400, "invalid_statement",
-                                "/query only accepts SELECT/EXPLAIN "
-                                "statements; use /execute for DDL/DML")
-            if mode == "attribute":
-                return self._execute_attribute_query(conn, sql, params)
-            if mode == "rewritten":
-                result = conn.query(sql, params)
-            else:
-                result = conn.query_direct(sql, params)
-            attributes = result.schema.attributes
-            columns = [attribute.name for attribute in attributes]
-            types = [attribute.data_type.name.lower() for attribute in attributes]
-            pairs = result.labeled_rows()
-            rows = [row for row, _ in pairs]
-            certain = [flag for _, flag in pairs]
-            return columns, types, rows, certain, None, result.elapsed
+        if conn.statement_kind(sql, mode=mode) not in ("select", "explain"):
+            raise HTTPError(400, "invalid_statement",
+                            "/query only accepts SELECT/EXPLAIN "
+                            "statements; use /execute for DDL/DML")
+        if mode == "attribute":
+            return self._execute_attribute_query(conn, sql, params)
+        if mode == "rewritten":
+            result = conn.query(sql, params)
+        else:
+            result = conn.query_direct(sql, params)
+        attributes = result.schema.attributes
+        columns = [attribute.name for attribute in attributes]
+        types = [attribute.data_type.name.lower() for attribute in attributes]
+        pairs = result.labeled_rows()
+        rows = [row for row, _ in pairs]
+        certain = [flag for _, flag in pairs]
+        return columns, types, rows, certain, None, result.elapsed
 
     @staticmethod
     def _execute_attribute_query(conn, sql: str, params):
@@ -720,7 +760,7 @@ class UADBServer:
 
     async def _handle_healthz(self, request: Request,
                               writer: asyncio.StreamWriter) -> int:
-        stats = self.pool.stats()
+        stats = self.pool.usage()
         store = self.pool.store
         self._write_json(writer, 200, {
             "status": "draining" if self._draining else "ok",

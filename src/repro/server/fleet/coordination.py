@@ -190,6 +190,8 @@ class StoreCoordinator:
         self._seen_lock = threading.Lock()
         #: Cross-process refreshes performed (observability and tests).
         self.refreshes = 0
+        #: Persisted-version reads by poll / ensure_fresh / write.
+        self.version_polls = 0
         if self.store is not None:
             self.write_lock: Optional[FleetWriteLock] = FleetWriteLock(
                 FleetWriteLock.path_for(self.store.path), timeout=lock_timeout)
@@ -221,13 +223,14 @@ class StoreCoordinator:
 
         The non-blocking half of :meth:`ensure_fresh`: one indexed SQLite
         read and no locks beyond the version mirror's, so the server's event
-        loop can probe freshness inline (the result-cache fast path) and
-        fall back to a worker thread only when a real refresh -- which takes
-        the pool's writer lock -- is needed.
+        loop can probe freshness inline (a result-cache hit, or a miss it
+        answers itself, reuses these versions) and fall back to a worker
+        thread only when a real refresh -- which takes the pool's writer
+        lock -- is needed.
         """
         if self.store is None:
             return self.versions()
-        current = self.store.read_persisted_versions()
+        current = self._read_versions()
         with self._seen_lock:
             return current if current == self._seen else None
 
@@ -242,18 +245,25 @@ class StoreCoordinator:
         """
         if self.store is None:
             return self.versions()
-        current = self.store.read_persisted_versions()
+        current = self._read_versions()
         with self._seen_lock:
             if current == self._seen:
                 return current
         with self.pool.exclusive() as core:
-            current = self.store.read_persisted_versions()
+            current = self._read_versions()
             with self._seen_lock:
                 if current == self._seen:
                     return current
             self._refresh(core, current)
             with self._seen_lock:
                 self._seen = current
+        return current
+
+    def _read_versions(self) -> Tuple[int, int]:
+        """One persisted-version read, counted in :attr:`version_polls`."""
+        current = self.store.read_persisted_versions()
+        with self._seen_lock:
+            self.version_polls += 1
         return current
 
     def _refresh(self, core, versions: Tuple[int, int]) -> None:
@@ -289,7 +299,7 @@ class StoreCoordinator:
             try:
                 yield
             finally:
-                fresh = self.store.read_persisted_versions()
+                fresh = self._read_versions()
                 with self._seen_lock:
                     self._seen = fresh
 
@@ -298,6 +308,7 @@ class StoreCoordinator:
         payload = {
             "active": self.active,
             "refreshes": self.refreshes,
+            "version_polls": self.version_polls,
         }
         if self.write_lock is not None:
             payload["write_lock"] = {

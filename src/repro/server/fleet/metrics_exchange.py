@@ -103,7 +103,8 @@ def aggregate_fleet(snapshots: Dict[int, Dict[str, Any]],
                     now: Optional[float] = None) -> Dict[str, Any]:
     """Merge per-worker snapshots into the ``fleet`` section of /metrics.
 
-    Rates (cache hit rates) are recomputed from summed hit/miss counters
+    Counters (requests, cache lookups, ``/query`` answers by path) are
+    summed; rates (cache hit rates) are recomputed from summed counters
     across workers -- the whole point of the exchange: a per-process rate
     silently describes one worker, the aggregate describes the fleet.
     """
@@ -114,6 +115,7 @@ def aggregate_fleet(snapshots: Dict[int, Dict[str, Any]],
         "plan_cache_hits": 0, "plan_cache_misses": 0,
         "result_cache_hits": 0, "result_cache_misses": 0,
     }
+    query_paths: Dict[str, int] = {}
     for index in sorted(snapshots):
         snapshot = snapshots[index]
         metrics = snapshot.get("metrics", {})
@@ -138,10 +140,13 @@ def aggregate_fleet(snapshots: Dict[int, Dict[str, Any]],
         totals["plan_cache_misses"] += plan_cache.get("misses", 0)
         totals["result_cache_hits"] += result_cache.get("hits", 0)
         totals["result_cache_misses"] += result_cache.get("misses", 0)
+        for path, count in server.get("query_paths", {}).items():
+            query_paths[path] = query_paths.get(path, 0) + count
     return {
         "workers": workers,
         "aggregate": {
             **totals,
+            "query_paths": query_paths,
             "plan_cache_hit_rate": _rate(totals["plan_cache_hits"],
                                          totals["plan_cache_misses"]),
             "result_cache_hit_rate": _rate(totals["result_cache_hits"],

@@ -21,6 +21,10 @@ __all__ = ["ServerMetrics", "percentile"]
 #: Latencies retained per endpoint for percentile estimation.
 LATENCY_WINDOW = 2048
 
+#: Where a ``/query`` answer ran: a result-cache hit on the event loop, a
+#: miss executed on the event loop, or a worker thread of the executor.
+QUERY_PATHS = ("inline_hit", "inline_miss", "executor")
+
 
 def percentile(samples: List[float], fraction: float) -> float:
     """The ``fraction`` (0..1) percentile of ``samples`` (nearest-rank).
@@ -52,8 +56,8 @@ class ServerMetrics:
     :meth:`record` is called once per finished request with the endpoint
     path, response status and elapsed wall-clock seconds; :meth:`snapshot`
     renders everything as a JSON-ready dict (counts, error counts, mean and
-    p50/p90/p99 latencies in milliseconds, rows streamed, uptime and
-    in-flight gauge).
+    p50/p90/p99 latencies in milliseconds, rows streamed, ``/query``
+    answers by path, uptime and in-flight gauge).
     """
 
     def __init__(self) -> None:
@@ -62,6 +66,7 @@ class ServerMetrics:
         self._started = time.monotonic()
         self._in_flight = 0
         self._rows_streamed = 0
+        self._query_paths = dict.fromkeys(QUERY_PATHS, 0)
 
     def begin(self) -> None:
         """Mark a request as in flight (gauge for ``snapshot()``)."""
@@ -88,6 +93,11 @@ class ServerMetrics:
         """Account ``count`` rows sent over an NDJSON stream."""
         with self._lock:
             self._rows_streamed += count
+
+    def count_query_path(self, path: str) -> None:
+        """Count one ``/query`` answer by path (:data:`QUERY_PATHS`)."""
+        with self._lock:
+            self._query_paths[path] += 1
 
     def snapshot(self) -> Dict[str, Any]:
         """All counters as a JSON-ready dict (latencies in milliseconds)."""
@@ -117,5 +127,6 @@ class ServerMetrics:
                 "requests_total": total_requests,
                 "errors_total": total_errors,
                 "rows_streamed": self._rows_streamed,
+                "query_paths": dict(self._query_paths),
                 "endpoints": endpoints,
             }
