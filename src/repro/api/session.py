@@ -119,7 +119,8 @@ _EMPTY_ENV = RowEnvironment((), ())
 def _derived_from(sources: Dict[str, Tuple[KRelation, int]], name: str,
                   source: KRelation) -> bool:
     """True while ``name``'s derived entry describes ``source``: the rule of
-    both derived catalogs, :attr:`Connection.uadb` and attribute mode."""
+    :attr:`Connection.uadb`'s decoded relations and of the certain maps of
+    native attribute tables."""
     derived_from, version = sources.get(name, (None, -1))
     return derived_from is source and version == source._version
 
@@ -400,8 +401,9 @@ class Connection:
         elif semiring is None:
             semiring = NATURAL
         self.semiring = semiring
-        #: The session's one copy of every tuple-level table: its ``Enc``
-        #: encoding, which rewritten queries run against.
+        #: The session's one copy of every table, which every compiled mode
+        #: runs against: a tuple-level table as its ``Enc`` encoding, a
+        #: native attribute-level one in its triple layout.
         self.encoded = Database(semiring, f"{name}_enc", engine=engine)
         #: Marks the encoded database as store-backed: the SQLite execution
         #: engine then attaches to the store file instead of loading copies.
@@ -427,25 +429,19 @@ class Connection:
         # Attached to every execution database so evaluate() can reach the
         # statistics through ``database.stats``.
         self.encoded.stats = self.stats
-        #: The one copy of every natively registered attribute-level
-        #: relation: its triple-layout encoding, by name.
-        self._attribute_encoded: Dict[str, KRelation] = {}
+        #: Schema names of the native attribute-level tables in
+        #: :attr:`encoded`; tuple-level paths see every other table.
+        self._native: Set[str] = set()
         #: :attr:`uadb`'s relations, each decoded from its encoded table on
-        #: demand and fingerprinted like an attribute-mode entry.
+        #: demand and fingerprinted like a native certain map.
         self._decoded = UADatabase(semiring, name, engine=engine)
         self._decoded.database.stats = self.stats
         self._decoded_sources: Dict[str, Tuple[KRelation, int]] = {}
-        #: The execution database of ``"attribute"``-mode plans, filled and
-        #: kept current per relation by :meth:`_attribute_execution`.
-        self._attribute_database = Database(semiring, f"{name}_attr",
-                                            engine=engine)
-        self._attribute_database.stats = self.stats
-        #: Per relation in it: the source it was derived from and that
-        #: source's mutation count at the time (its fingerprint), and the
-        #: attributes no stored range leaves uncertain (what the range
-        #: rewriter may compile by equality).
-        self._attribute_sources: Dict[str, Tuple[KRelation, int]] = {}
-        self._attribute_certain: Dict[str, FrozenSet[str]] = {}
+        #: Per native attribute table: the attributes no stored range leaves
+        #: uncertain (what the range rewriter may compile by equality), and
+        #: the table and mutation count they were read from (fingerprint).
+        self._native_certain: Dict[str, FrozenSet[str]] = {}
+        self._native_sources: Dict[str, Tuple[KRelation, int]] = {}
         self._closed = False
         if self.store is not None:
             self._load_from_store()
@@ -489,9 +485,8 @@ class Connection:
         adopted when they still match the data."""
         encoded = self.store.load_relation(name)
         if is_attribute_encoded(encoded.schema):
-            self._attribute_encoded[name] = encoded
-        else:
-            self.encoded.add_relation(encoded, replace=True)
+            self._native.add(encoded.schema.name)
+        self.encoded.add_relation(encoded, replace=True)
         self.stats.adopt(encoded)
 
     # -- source registration ------------------------------------------------------
@@ -508,7 +503,7 @@ class Connection:
     def _check_new_name(self, name: str) -> None:
         """Fail *before* the store write, so a duplicate registration cannot
         clobber the persisted table of the existing relation."""
-        if name in self.encoded or name in self._attribute_encoded:
+        if name in self.encoded:
             raise SchemaError(f"relation {name!r} already exists")
 
     def _commit_registration(self, encoded: KRelation) -> None:
@@ -581,9 +576,9 @@ class Connection:
         registrations.  It is the data version other readers go by: cached
         plans (whose join order was chosen under the old sizes) and the
         fleet's result cache die on it.  It invalidates nothing of the
-        writer's own: the store table, the statistics, the engine's mirror
-        and the attribute encoding were each advanced by the write itself,
-        so the next read recompiles one plan and recollects nothing.
+        writer's own: the store table, the statistics and the engine's
+        mirror were each advanced by the write itself, so the next read, in
+        either annotation mode, recompiles one plan and recollects nothing.
         """
         if self.store is not None:
             self.store.bump_stats_version()
@@ -615,13 +610,13 @@ class Connection:
                                     relation: AttributeBoundsRelation) -> None:
         """Register a native attribute-level relation (per-attribute ranges).
 
-        The relation persists to the store (when one is attached) in its
-        triple layout -- each logical attribute ``A`` as the columns ``A``
-        / ``A#lb`` / ``A#ub`` plus the trailing multiplicity triple -- so a
-        later connection reopens it as an attribute relation.  Query it
-        through :meth:`query_bounds` or any query path of an
-        ``annotation="attribute"`` connection; tuple-level query paths do
-        not see it.
+        The relation joins :attr:`encoded` and persists to the store (when
+        one is attached) in its triple layout -- each logical attribute
+        ``A`` as the columns ``A`` / ``A#lb`` / ``A#ub`` plus the trailing
+        multiplicity triple -- so a later connection reopens it as an
+        attribute relation.  Query it through :meth:`query_bounds` or any
+        query path of an ``annotation="attribute"`` connection; tuple-level
+        statements naming it raise :class:`SchemaError`.
         """
         self._check_open()
         with self._locking.write():
@@ -630,7 +625,8 @@ class Connection:
             relation.check_invariant()
             encoded = encode_attribute_relation(relation, self.semiring)
             self._commit_registration(encoded)
-            self._attribute_encoded[name] = encoded
+            self.encoded.add_relation(encoded)
+            self._native.add(name)
 
     def register_ua_database(self, uadb: UADatabase) -> None:
         """Register every relation of an existing UA-database."""
@@ -661,6 +657,27 @@ class Connection:
 
     # -- catalogs -----------------------------------------------------------------
 
+    def _tables(self, native: bool = False) -> Iterator[KRelation]:
+        """The tuple-level tables of :attr:`encoded` (with ``native``, the
+        attribute-level ones instead), in creation order."""
+        names = self._native
+        return (encoded for encoded in self.encoded
+                if (encoded.schema.name in names) is native)
+
+    def _tuple_table(self, name: str) -> KRelation:
+        """The ``Enc`` table of tuple-level relation ``name``.  Any other
+        name raises a :class:`SchemaError` naming it -- for a native
+        attribute table, one that points at attribute mode."""
+        if name not in self.encoded:
+            raise SchemaError(f"unknown relation {name!r}")
+        encoded = self.encoded.relation(name)
+        if encoded.schema.name in self._native:
+            raise SchemaError(
+                f"relation {name!r} is attribute-level; tuple-level "
+                f"statements cannot use it -- query it with query_bounds() "
+                f"or on an annotation=\"attribute\" connection")
+        return encoded
+
     @property
     def uadb(self) -> UADatabase:
         """The tuple-level tables as a :class:`UADatabase`: a derived,
@@ -668,12 +685,11 @@ class Connection:
 
         Each relation is decoded on first read and kept until its encoded
         table's fingerprint moves.  Write through SQL or :attr:`encoded`:
-        a change made to the view reaches neither the store nor the
-        rewritten and attribute modes, and is dropped when its table next
-        changes.
+        a change made to the view reaches neither the store nor any
+        compiled mode, and is dropped when its table next changes.
         """
         view = self._decoded
-        for encoded in self.encoded:
+        for encoded in self._tables():
             name = encoded.schema.name
             if not _derived_from(self._decoded_sources, name, encoded):
                 view.add_relation(decode_relation(encoded, view.ua_semiring),
@@ -685,107 +701,49 @@ class Connection:
     def catalog(self) -> DatabaseSchema:
         """Schema of the logical (un-encoded) UA relations."""
         catalog = DatabaseSchema()
-        for encoded in self.encoded:
+        for encoded in self._tables():
             catalog.add(decoded_schema(encoded.schema))
         return catalog
 
     @property
     def encoded_catalog(self) -> DatabaseSchema:
-        """Schema of the encoded backing relations (with the ``C`` column)."""
-        return self.encoded.schema
+        """Schema of the UA relations' encoded tables (with the ``C``
+        column)."""
+        catalog = DatabaseSchema()
+        for encoded in self._tables():
+            catalog.add(encoded.schema)
+        return catalog
 
     @property
     def attribute_catalog(self) -> DatabaseSchema:
         """Logical schema of every relation visible to attribute-mode queries.
 
         Native attribute relations come first, then the tuple-level UA
-        relations -- which attribute-mode queries see through the
-        degenerate conversion (collapsed ranges, multiplicity
-        ``(certain, det, det)``), so bounds queries run against *every*
-        registered source.
+        relations -- which attribute-mode queries read straight from their
+        ``Enc`` tables as the degenerate case (collapsed ranges,
+        multiplicity ``(certain, det, det)``), so bounds queries run
+        against *every* registered source.
         """
         catalog = DatabaseSchema()
-        for encoded in self._attribute_encoded.values():
+        for encoded in self._tables(native=True):
             catalog.add(logical_schema_from_encoded(encoded.schema))
         for schema in self.catalog:
             catalog.add(schema)
         return catalog
 
-    def _attribute_execution(self) -> Tuple[Database, Dict[str, FrozenSet[str]]]:
-        """The execution database backing ``"attribute"``-mode plans, and
-        per relation the attributes no stored range leaves uncertain.
-
-        One database for the session's life.  It holds the triple-layout
-        encoding of the native attribute relations plus a derived encoding
-        of every tuple-level UA relation (all of whose attributes are
-        therefore certain), decoded transiently from its ``Enc`` table.  Each
-        entry is fingerprinted against its source (identity + mutation
-        count) and re-derived, alone, only when that source is new or was
-        mutated out of band: the session's own inserts append to the entry
-        and advance the fingerprint (:meth:`_append_attribute_rows`), so the
-        warm route is one check per relation.  Every write that changes the
-        map also bumps a version cached plans die on, so no plan compiled
-        against it outlives the data it describes.  Callers hold the
-        session's read lock.
-        """
-        database = self._attribute_database
-        certain = self._attribute_certain
-        sources = self._attribute_sources
-        for name, encoded in self._attribute_encoded.items():
-            if not _derived_from(sources, name, encoded):
-                database.add_relation(encoded, replace=True)
+    def _certain_attributes(self) -> Dict[str, FrozenSet[str]]:
+        """Per native attribute table, the attributes no stored range leaves
+        uncertain, for the range rewriter.  Each table's set is re-read only
+        when its fingerprint moves; a tuple-level table needs none, its
+        ranges are collapsed by layout.  Callers hold the read lock."""
+        certain = self._native_certain
+        for encoded in self._tables(native=True):
+            name = encoded.schema.name
+            if not _derived_from(self._native_sources, name, encoded):
                 certain[name] = \
                     decode_attribute_relation(encoded).certain_attributes()
-                sources[name] = (encoded, encoded._version)
-        for encoded in self.encoded:
-            name = encoded.schema.name
-            if not _derived_from(sources, name, encoded):
-                bounds = self._attribute_bounds(encoded)
-                database.add_relation(
-                    encode_attribute_relation(bounds, self.semiring),
-                    replace=True)
-                certain[name] = bounds.certain_attributes()
-                sources[name] = (encoded, encoded._version)
-        return database, certain
-
-    def _attribute_bounds(self, encoded: KRelation) -> AttributeBoundsRelation:
-        """Degenerate attribute-level reading of ``Enc``-encoded rows."""
-        return AttributeBoundsRelation.from_ua_relation(
-            decode_relation(encoded, self._decoded.ua_semiring))
-
-    def _attribute_entry_grows(self, encoded: KRelation,
-                               rows: List[Row]) -> bool:
-        """True when inserting ``rows`` into ``encoded`` only appends
-        fragments to its attribute-mode entry.
-
-        False when the entry is absent or already stale, or the batch
-        raises the multiplicity of a stored tuple (whose fragment would
-        change); the next attribute-mode read then re-derives it.
-        """
-        return (_derived_from(self._attribute_sources, encoded.schema.name,
-                              encoded)
-                and not any(row + (1,) in encoded or row + (0,) in encoded
-                            for row in rows))
-
-    def _append_attribute_rows(self, encoded: KRelation,
-                               encoded_rows: List[Row]) -> None:
-        """Append the fragments of ``encoded_rows``, just inserted into
-        ``encoded`` as tuples new to it (:meth:`_attribute_entry_grows`),
-        to its attribute-mode entry and advance the entry's fingerprint.
-        Every range of them is collapsed, so the certain map stands."""
-        name = encoded.schema.name
-        added = KRelation._from_validated(
-            encoded.schema, self.semiring,
-            {row: encoded.annotation(row) for row in encoded_rows})
-        derived = self._attribute_database.relation(name)
-        before = derived._version
-        rows = list(encode_attribute_relation(self._attribute_bounds(added),
-                                              self.semiring))
-        for row in rows:
-            derived.add_validated(row)
-        get_engine(self.engine).appended(
-            self._attribute_database, derived, before, rows)
-        self._attribute_sources[name] = (encoded, encoded._version)
+                self._native_sources[name] = (encoded, encoded._version)
+        return certain
 
     def tables(self) -> List[Dict[str, Any]]:
         """Catalog metadata for every registered relation, in creation order.
@@ -809,11 +767,11 @@ class Connection:
         with self._locking.read():
             listed = [listing(decoded_schema(encoded.schema),
                               len({row[:-1] for row in encoded}))
-                      for encoded in self.encoded]
+                      for encoded in self._tables()]
             listed.extend(
                 dict(listing(logical_schema_from_encoded(encoded.schema),
                              len(encoded)), annotation="attribute")
-                for encoded in self._attribute_encoded.values())
+                for encoded in self._tables(native=True))
             return listed
 
     @property
@@ -916,24 +874,26 @@ class Connection:
                                 parameters=tuple(parameters),
                                 stats_version=self.stats_version)
         described: Dict[str, Any] = {}
-        if mode == "rewritten":
-            logical = translate(statement, self.catalog)
-            plan = rewrite_plan(logical, self.encoded_catalog)
-            optimize_catalog = self.encoded_catalog
-        elif mode == "direct":
-            logical = translate(statement, self.catalog)
-            plan = logical
-            optimize_catalog = self.catalog
-        elif mode == "attribute":
+        if mode == "attribute":
             logical = translate(statement, self.attribute_catalog)
-            database, certain = self._attribute_execution()
-            rewrite = rewrite_attribute_plan(logical, database.schema, certain)
+            optimize_catalog = self.encoded.schema
+            rewrite = rewrite_attribute_plan(logical, optimize_catalog,
+                                             self._certain_attributes())
             plan = rewrite.plan
             described = {"output_names": rewrite.columns,
                          "output_widths": rewrite.widths,
                          "range_joins": rewrite.range_joins,
                          "certain_columns": rewrite.certain_columns}
-            optimize_catalog = database.schema
+        elif mode in ("rewritten", "direct"):
+            catalog = self.catalog
+            logical = translate(statement, catalog)
+            self._check_tuple_level(logical)
+            if mode == "rewritten":
+                optimize_catalog = self.encoded_catalog
+                plan = rewrite_plan(logical, optimize_catalog)
+            else:
+                optimize_catalog = catalog
+                plan = logical
         else:
             raise SessionError(f"unknown compilation mode {mode!r}")
         parameters = plan_parameters(logical)
@@ -946,6 +906,14 @@ class Connection:
         return PreparedPlan(sql, "select", mode, self.catalog_version,
                             plan=plan, parameters=tuple(parameters),
                             stats_version=self.stats_version, **described)
+
+    def _check_tuple_level(self, plan: algebra.Operator) -> None:
+        """Fail at compile time, with :meth:`_tuple_table`'s error, when
+        ``plan`` reads a relation that is not a tuple-level table."""
+        if isinstance(plan, algebra.RelationRef):
+            self._tuple_table(plan.name)
+        for child in plan.children():
+            self._check_tuple_level(child)
 
     # -- statement execution ------------------------------------------------------
 
@@ -968,14 +936,12 @@ class Connection:
         started = time.perf_counter()
         with self._locking.read():
             if entry.mode == "attribute":
-                encoded = self._evaluate_encoded(
-                    entry.plan, False, params, self._attribute_execution()[0])
+                encoded = self._evaluate_encoded(entry.plan, False, params)
                 return _EncodedAttributeResult(
                     encoded, entry.output_names, entry.output_widths,
                     time.perf_counter() - started)
             if entry.mode == "rewritten":
-                encoded = self._evaluate_encoded(entry.plan, False, params,
-                                                 self.encoded)
+                encoded = self._evaluate_encoded(entry.plan, False, params)
                 return _EncodedResult(encoded, time.perf_counter() - started)
             view = self.uadb
             result = evaluate(entry.plan, view.database, engine=self.engine,
@@ -987,15 +953,15 @@ class Connection:
         return UAQueryResult(relation, elapsed)
 
     def _evaluate_encoded(self, plan: algebra.Operator, optimize: bool,
-                          params: Params, database: Database) -> KRelation:
-        """Evaluate a rewritten plan over its execution database (the caller
-        holds the read lock) into an answer that a result may label and
-        decode after the lock is gone."""
-        answer = evaluate(plan, database, engine=self.engine,
+                          params: Params) -> KRelation:
+        """Evaluate a rewritten plan over :attr:`encoded` (the caller holds
+        the read lock) into an answer that a result may label and decode
+        after the lock is gone."""
+        answer = evaluate(plan, self.encoded, engine=self.engine,
                           optimize=optimize, params=params)
         # A bare table reference evaluates to the stored relation itself (row
         # engine); the result must keep a snapshot, not the live table.
-        if any(answer is stored for stored in database):
+        if any(answer is stored for stored in self.encoded):
             answer = answer.copy()
         return answer
 
@@ -1024,7 +990,7 @@ class Connection:
     def _bind_insert_rows(self, statement: InsertStatement,
                           params: Params) -> List[Row]:
         """Bind one parameter set into the statement's validated row tuples."""
-        schema = decoded_schema(self.encoded.relation(statement.table).schema)
+        schema = decoded_schema(self._tuple_table(statement.table).schema)
         for name in statement.columns:
             schema.index_of(name)  # unknown column names fail fast
         binder = ParameterBinder(params)
@@ -1074,11 +1040,11 @@ class Connection:
         version are written and committed as **one** WAL transaction
         however many rows the batch holds; only then does memory change --
         each row is added once, to the encoded relation (the session's one
-        copy of the table), then the store and statistics fingerprints, the
-        engine's mirror and the attribute encoding advance.  So a refused
-        or failed write (unbindable values, a failed commit) raises with no
-        state change anywhere, and a crash leaves rows, statistics and
-        version on disk together or not at all.
+        copy of the table, which both annotation modes read), then the
+        store and statistics fingerprints and the engine's mirror advance.
+        So a refused or failed write (unbindable values, a failed commit)
+        raises with no state change anywhere, and a crash leaves rows,
+        statistics and version on disk together or not at all.
 
         ``uncertain`` optionally flags rows (parallel list) that should be
         loaded as *uncertain* facts: they join the best-guess world with the
@@ -1096,10 +1062,10 @@ class Connection:
             # Resolved under the write lock: a fleet refresh (which also
             # holds this lock) may swap the catalog's relation objects for
             # freshly loaded copies between two batches of one bulk load.
-            encoded_relation = self.encoded.relation(table)
+            encoded_relation = self._tuple_table(table)
             # The writer advances every mirror of the table that described
-            # it until now -- store table, statistics, engine mirror,
-            # attribute encoding -- by the rows it adds; one already stale
+            # it until now -- store table, statistics, engine mirror -- by
+            # the rows it adds; one already stale
             # (out-of-band mutation) is left for its own repair.
             new_tuples: Optional[Set[Row]] = None
             if self.stats.fresh(encoded_relation):
@@ -1108,7 +1074,6 @@ class Connection:
                 # set: the fold merges in any order).
                 new_tuples = {row for row in encoded_rows
                               if row not in encoded_relation}
-            grows = self._attribute_entry_grows(encoded_relation, rows)
 
             def write(persist: bool) -> bool:
                 if persist:
@@ -1137,8 +1102,6 @@ class Connection:
                 self.stats.mark_current(encoded_relation)
             get_engine(self.engine).appended(
                 self.encoded, encoded_relation, before, encoded_rows)
-            if grows:
-                self._append_attribute_rows(encoded_relation, encoded_rows)
         return len(rows)
 
     # -- EXPLAIN -------------------------------------------------------------------
@@ -1282,7 +1245,9 @@ class Connection:
         """The native SQL a compiling engine would run for ``sql``.
 
         For the ``"sqlite"`` engine this is the statement (one CTE per plan
-        operator) executed against the in-memory SQLite store; it is served
+        operator) executed against the SQLite copy (or store file) of
+        :attr:`encoded`, in attribute mode too, where a tuple-level table
+        is read straight from its ``Enc`` columns; it is served
         from the same prepared-plan and compiled-SQL caches as execution, so
         inspecting it costs one cache hit on the warm path.  Returns None
         when the resolved engine interprets plans directly (row/columnar) or
@@ -1298,12 +1263,7 @@ class Connection:
         compiled_sql = getattr(engine, "compiled_sql", None)
         if compiled_sql is None:
             return None
-        if mode == "rewritten":
-            database = self.encoded
-        elif mode == "attribute":
-            database = self._attribute_execution()[0]
-        else:
-            database = self.uadb.database
+        database = self.uadb.database if mode == "direct" else self.encoded
         try:
             return compiled_sql(entry.plan, database)
         except NotSupportedError:
@@ -1336,10 +1296,11 @@ class Connection:
 
         Compiles through the range rewriter
         (:func:`repro.core.attribute_rewriter.rewrite_attribute_plan`) and
-        executes over the triple-layout encodings: natively registered
-        attribute relations plus the degenerate conversion of every
-        tuple-level relation, so any registered source can be queried for
-        bounds.  Works on every connection regardless of its default
+        executes over :attr:`encoded`: natively registered attribute
+        relations in their triple layout, and every tuple-level relation
+        read from its ``Enc`` table as the degenerate case, so any
+        registered source can be queried for bounds.  Works on every
+        connection regardless of its default
         ``annotation`` level; the supported fragment is the positive
         algebra plus ``DISTINCT`` and COUNT/SUM/MIN/MAX aggregation
         (:class:`~repro.core.attribute_rewriter.AttributeRewriteError`
@@ -1374,8 +1335,7 @@ class Connection:
         started = time.perf_counter()
         with self._locking.read():
             rewritten = rewrite_plan(plan, self.encoded_catalog)
-            encoded = self._evaluate_encoded(rewritten, self.optimize, params,
-                                             self.encoded)
+            encoded = self._evaluate_encoded(rewritten, self.optimize, params)
         return _EncodedResult(encoded, time.perf_counter() - started)
 
     def query_deterministic(self, sql: str,

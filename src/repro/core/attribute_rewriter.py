@@ -17,9 +17,14 @@ positions travels separately.  That keeps joins, unions and decoding
 purely positional.  The final projection alone may be narrower: an output
 column proved collapsed is carried once (``AttributeRewrite.widths``).
 
+A relation whose schema is not attribute-encoded is a tuple-level ``Enc``
+table, read as the degenerate case: each column its own lower, best and
+upper bound, and the certainty column ``C`` the lower multiplicity bound.
+
 Columns that cannot be uncertain compile by their best-guess column alone.
-The caller passes, per relation, the attributes whose every stored range
-is collapsed; such a column resolves to one expression for lower, best
+Every column of an ``Enc`` table is one by layout; for attribute-encoded
+relations the caller passes the attributes whose every stored range is
+collapsed.  Such a column resolves to one expression for lower, best
 and upper, so a comparison of two of them is one plain predicate (an
 equality join stays an equality join), ``*`` is one product, and the
 multiplicity guards vanish where they repeat the filter.  The rule: *a
@@ -62,8 +67,10 @@ from repro.core.attribute_bounds import (
     LOWER_SUFFIX,
     MULTIPLICITY_COLUMNS,
     UPPER_SUFFIX,
+    is_attribute_encoded,
     logical_schema_from_encoded,
 )
+from repro.core.encoding import CERTAINTY_COLUMN, decoded_schema
 from repro.db import algebra
 from repro.db.algebra import (
     Aggregate,
@@ -383,12 +390,14 @@ def rewrite_attribute_plan(
 ) -> AttributeRewrite:
     """Compile a logical plan into a range-propagating physical plan.
 
-    ``catalog`` holds the attribute-encoded schemas the plan's relation
-    references resolve against.  ``certain`` maps a relation's name to the
-    attributes whose every stored range is collapsed (see
+    ``catalog`` holds the attribute-encoded or ``Enc``-encoded schemas the
+    plan's relation references resolve against.  ``certain`` maps an
+    attribute-encoded relation's name to the attributes whose every stored
+    range is collapsed (see
     :meth:`AttributeBoundsRelation.certain_attributes`); such a column
-    compares, joins and multiplies by its best-guess column alone, and
-    with nothing known every column takes the general range forms.  Given
+    compares, joins and multiplies by its best-guess column alone, as does
+    every ``Enc`` column; with nothing known every other column takes the
+    general range forms.  Given
     a map, an output column still certain leaves the plan once
     (:attr:`AttributeRewrite.widths`); without one the output is the
     canonical triple layout.  Raises :class:`AttributeRewriteError` when
@@ -460,21 +469,35 @@ def _rewrite_relation(ref: RelationRef,
         encoded = ctx.catalog.get(ref.name)
     except SchemaError as exc:
         raise AttributeRewriteError(str(exc)) from exc
-    try:
-        logical = logical_schema_from_encoded(encoded)
-    except ValueError as exc:
-        raise AttributeRewriteError(
-            f"relation {ref.name!r} is not attribute-encoded") from exc
     items: List[Tuple[Expression, str]] = []
-    for i, attribute in enumerate(logical.attributes):
-        items.append((Column(attribute.name), _val(i)))
-        items.append((Column(attribute.name + LOWER_SUFFIX), _vlb(i)))
-        items.append((Column(attribute.name + UPPER_SUFFIX), _vub(i)))
-    for marker, out in zip(MULTIPLICITY_COLUMNS, (M_LB, M_BG, M_UB)):
-        items.append((Column(marker), out))
+    if is_attribute_encoded(encoded):
+        logical = logical_schema_from_encoded(encoded)
+        for i, attribute in enumerate(logical.attributes):
+            items.append((Column(attribute.name), _val(i)))
+            items.append((Column(attribute.name + LOWER_SUFFIX), _vlb(i)))
+            items.append((Column(attribute.name + UPPER_SUFFIX), _vub(i)))
+        multiplicity: List[Expression] = [
+            Column(marker) for marker in MULTIPLICITY_COLUMNS]
+        known = ctx.certain.get(encoded.name, ())
+    else:
+        # A tuple-level ``Enc`` table is the degenerate case: every range
+        # collapses to the stored value, and a row ``(t, C)`` of annotation
+        # ``n`` is ``n`` fragments of multiplicity ``(C, 1, 1)``, which sum
+        # to ``from_ua_relation``'s ``(certain, det, det)``.
+        try:
+            logical = decoded_schema(encoded)
+        except ValueError as exc:
+            raise AttributeRewriteError(
+                f"relation {ref.name!r} is neither attribute- nor "
+                f"Enc-encoded") from exc
+        for i, attribute in enumerate(logical.attributes):
+            items.extend((Column(attribute.name), name)
+                         for name in (_val(i), _vlb(i), _vub(i)))
+        multiplicity = [Column(CERTAINTY_COLUMN), _ONE, _ONE]
+        known = logical.attribute_names
+    items.extend(zip(multiplicity, (M_LB, M_BG, M_UB)))
     plan = Projection(RelationRef(ref.name), tuple(items))
     qualifier = ref.effective_name
-    known = ctx.certain.get(encoded.name, ())
     cols = [_Col(attribute.name, qualifier, attribute.name in known)
             for attribute in logical.attributes]
     return plan, cols

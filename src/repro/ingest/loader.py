@@ -39,6 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.encoding import decoded_schema
 from repro.db.schema import Attribute, DataType, RelationSchema
 from repro.ingest.sources import IngestError, Record, RowSource, open_source
 
@@ -215,10 +216,11 @@ class BulkLoader:
     # -- schema resolution --------------------------------------------------------
 
     def _existing_schema(self) -> Optional[RelationSchema]:
-        catalog = self.connection.catalog
-        if self.table in catalog:
-            return catalog.get(self.table)
-        return None
+        """The table's logical schema, None when it does not exist yet; a
+        native attribute-level table raises a ``SchemaError``."""
+        if self.table not in self.connection.encoded:
+            return None
+        return decoded_schema(self.connection._tuple_table(self.table).schema)
 
     def _infer_schema(self, first_chunk: List[Record],
                       source: RowSource) -> RelationSchema:

@@ -67,8 +67,11 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
-from repro.core.attribute_bounds import AttributeBoundsRelation
-from repro.db.schema import Attribute, DataType, RelationSchema
+from repro.core.attribute_bounds import (
+    AttributeBoundsRelation, encode_attribute_relation,
+)
+from repro.db.database import Database
+from repro.db.schema import Attribute, DataType, DatabaseSchema, RelationSchema
 from repro.semirings import NATURAL
 from repro.core.uadb import UADatabase, UARelation
 
@@ -81,9 +84,11 @@ __all__ = [
     "Query",
     "build_attribute_source",
     "build_source",
+    "degenerate_reference",
     "enumerate_attribute_worlds",
     "open_attribute_sessions",
     "open_sessions",
+    "public_attribute_database",
     "random_attribute_query",
     "random_query",
     "run_attribute_seed",
@@ -954,6 +959,38 @@ def _attribute_candidates(query: AttributeQuery) -> List[AttributeQuery]:
 
 
 # -- attribute-level execution and seed runner --------------------------------
+
+
+def public_attribute_database(uadb: UADatabase, engine: Optional[str],
+                              *natives: AttributeBoundsRelation):
+    """Logical catalog, triple-layout execution database and certainty map
+    of ``natives`` plus every relation of ``uadb`` seen through
+    :meth:`AttributeBoundsRelation.from_ua_relation`, from public pieces:
+    the reference a session's attribute mode must agree with."""
+    catalog = DatabaseSchema()
+    database = Database(NATURAL, "reference", engine=engine)
+    certain = {}
+    relations = list(natives) + [
+        AttributeBoundsRelation.from_ua_relation(relation)
+        for relation in uadb]
+    for relation in relations:
+        catalog.add(relation.schema)
+        database.add_relation(encode_attribute_relation(relation, NATURAL))
+        certain[relation.schema.name] = relation.certain_attributes()
+    return catalog, database, certain
+
+
+def degenerate_reference(uadb: UADatabase, engine: Optional[str],
+                         *natives: AttributeBoundsRelation) -> "repro.Connection":
+    """A session that registered ``natives`` and every relation of ``uadb``
+    through :meth:`AttributeBoundsRelation.from_ua_relation`: what attribute
+    mode over the relations' ``Enc`` tables must answer."""
+    connection = repro.connect(engine=engine, name="degenerate-reference")
+    for relation in list(natives) + [
+            AttributeBoundsRelation.from_ua_relation(relation)
+            for relation in uadb]:
+        connection.register_attribute_relation(relation)
+    return connection
 
 
 def open_attribute_sessions(

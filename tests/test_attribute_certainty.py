@@ -11,7 +11,8 @@ a wrong "certain", so this file pins
   certainty, on the tuple-level harness's sources and queries;
 * answers with the certainty map equal answers without it;
 * the flag is exact (one uncertain fragment withdraws it) and fresh
-  (registrations and INSERTs recompile against the current data);
+  (registrations and INSERTs recompile against the current data, and a
+  native table's flags are re-read only when that table moves);
 * the plan shape the flag buys, and what ``EXPLAIN`` says about it.
 """
 
@@ -30,28 +31,27 @@ from differential import (
     build_attribute_source,
     build_source,
     close_sessions,
+    degenerate_reference,
     enumerate_attribute_worlds,
     open_attribute_sessions,
+    public_attribute_database,
     random_attribute_query,
     random_query,
     run_attribute_query,
 )
+from repro.api import session as session_module
 from repro.core.attribute_bounds import (
     AttributeBoundsRelation,
     decode_attribute_relation,
-    encode_attribute_relation,
 )
 from repro.core.attribute_rewriter import (
     AttributeRewriteError,
     rewrite_attribute_plan,
 )
 from repro.core.uadb import UADatabase, UARelation
-from repro.db.database import Database
 from repro.db.engine import get_engine
 from repro.db.evaluator import evaluate
-from repro.db.schema import (
-    Attribute, DataType, DatabaseSchema, RelationSchema,
-)
+from repro.db.schema import Attribute, DataType, RelationSchema
 from repro.db.sql.parser import parse_statement
 from repro.db.sql.translator import translate
 from repro.semirings import NATURAL
@@ -122,22 +122,6 @@ def test_tuple_level_ua_is_the_collapsed_case_of_au(seed):
 # -- (a) the map changes the plan, never the answer ------------------------------
 
 
-def _public_attribute_database(source: AttributeSource, engine: str):
-    """Logical catalog, attribute execution database and certainty map of a
-    harness source, from public pieces."""
-    catalog = DatabaseSchema()
-    database = Database(NATURAL, "certainty", engine=engine)
-    certain = {}
-    relations = [source.native] + [
-        AttributeBoundsRelation.from_ua_relation(relation)
-        for relation in source.uadb]
-    for relation in relations:
-        catalog.add(relation.schema)
-        database.add_relation(encode_attribute_relation(relation, NATURAL))
-        certain[relation.schema.name] = relation.certain_attributes()
-    return catalog, database, certain
-
-
 @pytest.mark.parametrize("optimize", [False, True])
 @pytest.mark.parametrize("engine", ENGINES)
 def test_answers_with_the_map_equal_answers_without(engine, optimize):
@@ -145,7 +129,8 @@ def test_answers_with_the_map_equal_answers_without(engine, optimize):
     for seed in range(25):
         rng = random.Random(5200 + seed)
         source = build_attribute_source(rng)
-        catalog, database, certain = _public_attribute_database(source, engine)
+        catalog, database, certain = public_attribute_database(
+            source.uadb, engine, source.native)
         assert certain["r"] == {"a", "v"}
         g_flags.add("g" in certain["t"])
         for _ in range(4):
@@ -233,52 +218,66 @@ def test_all_null_ranges_count_as_collapsed():
 # -- (c) freshness ----------------------------------------------------------------
 
 
-def _assert_state_matches_data(connection):
-    database, certain = connection._attribute_execution()
-    assert sorted(certain) == sorted(database.relation_names())
-    for encoded in database:
-        name = encoded.schema.name
-        decoded = decode_attribute_relation(encoded)
-        assert certain[name] == decoded.certain_attributes()
-        if name in connection.uadb.database:
-            assert decoded == AttributeBoundsRelation.from_ua_relation(
-                connection.uadb.relation(name))
-
-
-def test_registration_and_insert_recompile_against_current_data():
+def test_registration_and_insert_recompile_against_current_data(monkeypatch):
+    """A tuple-level table is read from its ``Enc`` table, so every change to
+    it -- the session's own inserts, one raising a stored tuple's
+    multiplicity, a mutation nobody reported -- reaches the next answer,
+    which equals the ``from_ua_relation`` reference; a native table's
+    certain map is re-read only when that table's fingerprint moves."""
+    read = []
+    decode = session_module.decode_attribute_relation
+    monkeypatch.setattr(session_module, "decode_attribute_relation",
+                        lambda relation, *args, **kwargs: read.append(relation)
+                        or decode(relation, *args, **kwargs))
     connection = repro.connect(engine="sqlite", name="freshness")
+    native = _keyed_source((1, 1, 1)).native
+
+    def reads() -> int:
+        return sum(any(relation is table for table in connection.encoded)
+                   for relation in read)
+
+    def assert_reference(*natives) -> None:
+        reference = degenerate_reference(connection.uadb, "sqlite", *natives)
+        try:
+            for sql in ["SELECT a, v FROM r"] + [_KEY_JOIN.to_sql()] * bool(natives):
+                assert connection.query_bounds(sql).bounded_rows() \
+                    == reference.query_bounds(sql).bounded_rows(), sql
+        finally:
+            reference.close()
+
     try:
         connection.execute("CREATE TABLE r (a INT, v INT)")
         connection.execute("INSERT INTO r VALUES (1, 3)")
-        first = connection.query_bounds("SELECT a, v FROM r")
-        assert first.rows() == [(1, 3)]
-        database, _ = connection._attribute_execution()
-        derived = database.relation("r")
-        _assert_state_matches_data(connection)
-
-        # The session's own insert appends to the entry it derived.
+        assert connection.query_bounds("SELECT a, v FROM r").rows() == [(1, 3)]
+        assert_reference()
         connection.execute("INSERT INTO r VALUES (2, 8)")
         assert connection.query_bounds("SELECT a, v FROM r").rows() \
             == [(1, 3), (2, 8)]
-        assert connection._attribute_execution()[0] is database
-        assert database.relation("r") is derived
-        _assert_state_matches_data(connection)
-
-        # Raising a stored tuple's multiplicity changes its fragment, and
-        # an out-of-band mutation was never reported: both re-derive.
         connection.execute("INSERT INTO r VALUES (2, 8)")
-        _assert_state_matches_data(connection)
+        assert_reference()
         connection.encoded.relation("r").add((5, 5, 1))
-        _assert_state_matches_data(connection)
-        assert database.relation("r") is not derived
+        assert_reference()
+        assert reads() == 0
 
-        connection.register_attribute_relation(_keyed_source((1, 1, 2)).native)
-        report = connection.explain(_KEY_JOIN.to_sql(), mode="attribute")
-        assert report["range_joins"] == 1
-        assert connection.query_bounds(_KEY_JOIN.to_sql()).rows() \
-            == [(1, 3), (2, 8)]
-        _assert_state_matches_data(connection)
-        assert connection._attribute_execution()[1]["t"] == frozenset()
+        connection.register_attribute_relation(native)
+        assert connection.explain(
+            _KEY_JOIN.to_sql(), mode="attribute")["range_joins"] == 0
+        assert reads() == 1
+        assert_reference(native)
+        # The insert recompiles every plan; ``t`` did not move.
+        connection.execute("INSERT INTO r VALUES (1, 4)")
+        assert_reference(native)
+        assert reads() == 1
+
+        # An uncertain key range written to ``t`` behind the session's back
+        # withdraws the flag at the next compile.
+        connection.encoded.relation("t").add((2, 1, 3, 7, 7, 7, 1, 1, 1))
+        native.add_bounded(((1, 2, 3), (7, 7, 7)), (1, 1, 1))
+        connection.plan_cache.clear()
+        assert connection.explain(
+            _KEY_JOIN.to_sql(), mode="attribute")["range_joins"] == 1
+        assert reads() == 2
+        assert_reference(native)
     finally:
         connection.close()
 
@@ -339,9 +338,9 @@ def test_eight_way_equi_join_stays_on_sqlite():
 
 
 def test_two_positional_arguments_mean_nothing_known(pdbench_connection):
-    database, certain = pdbench_connection._attribute_execution()
-    logical = translate(parse_statement(pdbench_query("Q3")),
-                        pdbench_connection.attribute_catalog)
+    catalog, database, certain = public_attribute_database(
+        pdbench_connection.uadb, "sqlite")
+    logical = translate(parse_statement(pdbench_query("Q3")), catalog)
     general = rewrite_attribute_plan(logical, database.schema)
     assert general == rewrite_attribute_plan(logical, database.schema, {})
     assert general.range_joins == 3 and general.certain_columns == ()

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from differential import public_attribute_database
 from repro.api import ConnectionPool
 from repro.api.session import AttributeQueryResult, _EncodedAttributeResult
 from repro.core.attribute_bounds import (
@@ -83,10 +84,18 @@ def _connection(engine: str, fragments) -> repro.Connection:
     return conn
 
 
-def _canonical(conn: repro.Connection, sql: str) -> AttributeQueryResult:
+def _reference(conn: repro.Connection, fragments):
+    """Catalog, triple-layout database and certainty map of ``conn``'s
+    tables, from public pieces."""
+    return public_attribute_database(conn.uadb, conn.engine,
+                                     _relation_u(fragments))
+
+
+def _canonical(conn: repro.Connection, fragments,
+               sql: str) -> AttributeQueryResult:
     """The answer by the public pieces, over the all-triples layout."""
-    database = conn._attribute_execution()[0]
-    logical = translate(parse_statement(sql), conn.attribute_catalog)
+    catalog, database, _ = _reference(conn, fragments)
+    logical = translate(parse_statement(sql), catalog)
     rewrite = rewrite_attribute_plan(logical, database.schema)
     assert set(rewrite.widths) == {3}
     encoded = evaluate(rewrite.plan, database, engine=conn.engine)
@@ -115,7 +124,7 @@ def test_view_equals_decoding_the_canonical_answer(engine, fragments):
         for sql in QUERIES:
             view = conn.query_bounds(sql)
             assert isinstance(view, _EncodedAttributeResult)
-            expected = _canonical(conn, sql)
+            expected = _canonical(conn, fragments, sql)
             _assert_same_view(view, expected)
             # The relation-backed public result labels by the same code.
             _assert_same_view(AttributeQueryResult(view.relation), expected)
@@ -142,10 +151,9 @@ def test_widths_are_positional_and_reported(engine):
         assert widths["SELECT v, k FROM c"] == (1, 1)
         assert widths["SELECT k, x FROM u UNION ALL SELECT k, v FROM c"] == (1, 3)
         # SQL renames a repeated alias; a plan built by hand keeps both.
-        database, certain = conn._attribute_execution()
+        catalog, database, certain = _reference(conn, _mixed_fragments())
         logical = translate(parse_statement(
-            "SELECT u.x AS a, c.v AS b FROM c, u WHERE c.k = u.k"),
-            conn.attribute_catalog)
+            "SELECT u.x AS a, c.v AS b FROM c, u WHERE c.k = u.k"), catalog)
         logical = algebra.Projection(
             logical.child, tuple((expr, "a") for expr, _ in logical.items))
         canonical = rewrite_attribute_plan(logical, database.schema)

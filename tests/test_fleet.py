@@ -427,6 +427,25 @@ def test_refresh_adopts_a_sibling_attribute_relation_decoding_nothing(
         assert [schema.name for schema in b.catalog] == ["readings"]
         assert not any("#" in name for schema in b.encoded_catalog
                        for name in schema.attribute_names)
+    # A sibling's INSERT into the UA table: pool b adopts it and answers
+    # in attribute mode from the ``Enc`` table, deriving nothing.
+    derived = []
+    for name in ("decode_relation", "encode_attribute_relation"):
+        original = getattr(session_module, name)
+        monkeypatch.setattr(session_module, name,
+                            lambda *args, _f=original, **kwargs:
+                            derived.append(args) or _f(*args, **kwargs))
+    with coordinator_a.write():
+        with pool_a.connection() as conn:
+            conn.execute("INSERT INTO readings VALUES ('s4', 71)")
+    coordinator_b.ensure_fresh()
+    assert coordinator_b.refreshes == 2
+    sql = "SELECT sensor, k, v FROM readings, r WHERE temp = 71 AND k = 1"
+    with pool_a.connection() as a, pool_b.connection() as b:
+        answer = b.query_bounds(sql).bounded_rows()
+        assert answer == a.query_bounds(sql).bounded_rows()
+        assert [row[0][1] for row, _ in answer] == ["s1", "s4"]
+    assert derived == []
     pool_a.close()
     pool_b.close()
 

@@ -1,11 +1,12 @@
 """Read-after-write costs O(rows inserted), counted rather than timed.
 
 The session's own INSERT advances every mirror of the table it wrote --
-store table, statistics, the engine's in-memory mirror, the attribute
-encoding -- so the next read recollects, reloads and re-encodes nothing,
-however many rows the store holds.  Only a mutation nobody reported (made
-on the relation object directly) is repaired by a rebuild, and only of the
-table it touched.
+store table, statistics, the engine's in-memory mirror -- so the next
+read, in either annotation mode, recollects, reloads, decodes and encodes
+nothing, however many rows the store holds: attribute mode reads the same
+``Enc`` table, and derives no copy of it.  Only a mutation nobody reported
+(made on the relation object directly) is repaired by a rebuild, and only
+of the table it touched.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import pytest
 
 import repro
 from repro.api import session as session_module
+from repro.core.attribute_bounds import AttributeBoundsRelation
 from repro.core.uadb import UARelation
 from repro.db.engine.sqlite import SQLiteEngine
 from repro.db.relation import KRelation
+from repro.db.schema import RelationSchema
 from repro.db.stats import TableStats
 
 EVENTS = [(key, f"k{key % 7}", key % 100) for key in range(300)]
@@ -25,14 +28,17 @@ READ = "SELECT id, kind, v FROM events WHERE id = ?"
 
 
 class _Counters:
-    """Counts the three whole-table rebuilds a read might trigger."""
+    """Counts the whole-table rebuilds and conversions a read might
+    trigger."""
 
     def __init__(self, monkeypatch, engine: SQLiteEngine) -> None:
         self.engine = engine
         self.collected = []
         self.encoded = []
+        self.decoded = []
         collect = TableStats.collect.__func__
         encode = session_module.encode_attribute_relation
+        decode = session_module.decode_relation
 
         def counting_collect(cls, relation):
             self.collected.append(relation.schema.name)
@@ -46,11 +52,16 @@ class _Counters:
                             classmethod(counting_collect))
         monkeypatch.setattr(session_module, "encode_attribute_relation",
                             counting_encode)
+        monkeypatch.setattr(session_module, "decode_relation",
+                            lambda relation, *args, **kwargs:
+                            self.decoded.append(relation.schema.name)
+                            or decode(relation, *args, **kwargs))
         self.reset()
 
     def reset(self) -> None:
         self.collected.clear()
         self.encoded.clear()
+        self.decoded.clear()
         self.loads = self.engine.stats()["table_loads"]
 
     @property
@@ -97,28 +108,27 @@ def test_own_insert_then_read_rebuilds_nothing(session, path):
     written = list(EVENTS)
     held = connection.query("SELECT id FROM events WHERE id >= 299")
 
-    def assert_appended(rows) -> None:
+    def assert_appended() -> None:
         assert counters.collected == []
         assert counters.table_loads == 0
-        # Attribute mode encodes the inserted rows, never the relation.
-        assert sum(count for _, count in counters.encoded) <= len(rows)
+        assert counters.encoded == counters.decoded == []
         counters.reset()
 
     connection.execute("INSERT INTO events VALUES (?, ?, ?)", [300, "new", 0])
     written.append((300, "new", 0))
     assert connection.query(READ, [300]).rows() == [(300, "new", 0)]
-    assert_appended(written[-1:])
+    assert_appended()
 
     batch = [(key, "batch", key % 100) for key in range(301, 306)]
     connection.executemany("INSERT INTO events VALUES (?, ?, ?)", batch)
     written.extend(batch)
     assert len(_answer(connection, params=[305])) == 1
-    assert_appended(batch)
+    assert_appended()
 
     connection.load("events", [(306, None, 1)], uncertainty="flag")
     written.append((306, None, 1))
     assert connection.query(READ, [306]).certain_rows() == []
-    assert_appended(written[-1:])
+    assert_appended()
 
     # Results are snapshots: what was read before the writes still reads so.
     assert held.rows() == [(299,)]
@@ -148,8 +158,7 @@ def test_unreported_mutation_rebuilds_that_table_once(session):
     assert len(_answer(connection, sql)) == 1
     assert counters.collected == ["events"]
     assert counters.table_loads == 1
-    if connection.annotation == "attribute":
-        assert counters.encoded == [("events", len(EVENTS) + 1)]
+    assert counters.encoded == counters.decoded == []
     counters.reset()
     # Repaired once: the next reads, and the next write, are back to free.
     assert len(_answer(connection, sql)) == 1
@@ -157,10 +166,10 @@ def test_unreported_mutation_rebuilds_that_table_once(session):
     assert len(_answer(connection, params=[401])) == 1
     assert counters.collected == []
     assert counters.table_loads == 0
-    assert sum(count for _, count in counters.encoded) <= 1
+    assert counters.encoded == counters.decoded == []
 
 
-def test_raised_multiplicity_rederives_only_that_attribute_entry(monkeypatch):
+def test_raised_multiplicity_rederives_nothing(monkeypatch):
     engine = SQLiteEngine()
     connection = repro.connect(engine=engine, annotation="attribute")
     try:
@@ -172,13 +181,47 @@ def test_raised_multiplicity_rederives_only_that_attribute_entry(monkeypatch):
             .bounded_rows() == [(((1, 1, 1),), (1, 1, 1)),
                                 (((2, 2, 2),), (1, 1, 1))]
         counters = _Counters(monkeypatch, engine)
-        # A second copy of a stored tuple changes its fragment's
-        # multiplicity, which an append cannot express.
+        # A second copy of a stored tuple raises its ``Enc`` row's
+        # annotation, which attribute mode reads as the fragment's weight.
         connection.execute("INSERT INTO r VALUES (2)")
         assert connection.query("SELECT a FROM r").bounded_rows() \
             == [(((1, 1, 1),), (1, 1, 1)), (((2, 2, 2),), (2, 2, 2))]
-        assert counters.encoded == [("r", 2)]
+        assert counters.encoded == counters.decoded == []
         assert counters.collected == []
+        assert counters.table_loads == 0
+    finally:
+        connection.close()
+
+
+def test_store_backed_attribute_reads_attach_to_the_file(tmp_path,
+                                                         monkeypatch):
+    """Attribute mode over a store reads the store file, a UA table and a
+    native one alike: no table is loaded into SQLite, derived or decoded."""
+    engine = SQLiteEngine()
+    connection = repro.connect(str(tmp_path / "attach.uadb"), engine=engine,
+                               name="attach")
+    try:
+        connection.execute("CREATE TABLE events (id INT, kind STRING, v INT)")
+        connection.load("events", EVENTS)
+        bounds = AttributeBoundsRelation(RelationSchema("bounds", ["id", "w"]))
+        bounds.add_row((5, 1), lower=(5, 0), upper=(5, 2))
+        connection.register_attribute_relation(bounds)
+        # Attach the engine to the store file (its load counter then reads
+        # the store's, which counted the tables written so far).
+        assert len(connection.query("SELECT id FROM events WHERE id = 0")) == 1
+        counters = _Counters(monkeypatch, engine)
+        assert connection.query_bounds(READ, [5]).bounded_rows() \
+            == [(((5, 5, 5), ("k5", "k5", "k5"), (5, 5, 5)), (1, 1, 1))]
+        assert connection.query_bounds("SELECT id, w FROM bounds") \
+            .bounded_rows() == [(((5, 5, 5), (0, 1, 2)), (1, 1, 1))]
+        connection.execute("INSERT INTO events VALUES (?, ?, ?)",
+                           [300, "new", 5])
+        assert connection.query_bounds(
+            "SELECT kind, w FROM events, bounds WHERE events.v = bounds.id"
+        ).bounded_rows() == [(((kind,) * 3, (0, 1, 2)), (1, 1, 1))
+                             for kind in ("k0", "k2", "k5", "new")]
+        assert counters.table_loads == 0
+        assert counters.encoded == counters.decoded == []
     finally:
         connection.close()
 
