@@ -3,8 +3,9 @@
 These are ablations beyond the paper's own evaluation:
 
 * **attribute-level versus tuple-level labels** -- same projection workload as
-  Figure 15; the attribute-level labels cost more to propagate but eliminate
-  the false negatives caused by projecting away uncertain attributes,
+  Figure 15; the attribute-level (AU-DB) ranges, answered through a session's
+  ``query_bounds``, eliminate the false negatives caused by projecting away
+  uncertain attributes,
 * **UAP-DB (certain/best-guess/possible triples) versus UA-DB (pairs)** -- the
   price of carrying the extra possible component through an RA+ query, and
   the cost of the difference (negation) query it enables,
@@ -20,6 +21,8 @@ import random
 
 import pytest
 
+import repro
+from repro.core import AttributeBoundsRelation
 from repro.db import algebra
 from repro.db.database import Database
 from repro.db.evaluator import evaluate
@@ -80,7 +83,11 @@ def tuple_level(ordb):
 
 @pytest.fixture(scope="module")
 def attribute_level(ordb):
-    return ordb.to_attribute_ua()
+    conn = repro.connect()
+    conn.register_attribute_relation(
+        AttributeBoundsRelation.from_ordb(ordb.relation("orders")))
+    yield conn
+    conn.close()
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +117,12 @@ def test_ablation_tuple_level_projection(benchmark, tuple_level):
     assert len(result) == NUM_ROWS
 
 
+PROJECTION_SQL = "SELECT order_id, region FROM orders"
+
+
 def test_ablation_attribute_level_projection(benchmark, attribute_level):
-    result = benchmark(lambda: attribute_level.query(PROJECTION_PLAN))
+    result = benchmark(
+        lambda: attribute_level.query_bounds(PROJECTION_SQL).labeled_rows())
     assert len(result) == NUM_ROWS
 
 
@@ -119,7 +130,7 @@ def test_ablation_attribute_level_recovers_false_negatives(benchmark, ordb, tupl
                                                            attribute_level):
     def run():
         tuple_result = tuple_level.query(PROJECTION_PLAN)
-        attribute_result = attribute_level.query(PROJECTION_PLAN)
+        attribute_result = attribute_level.query_bounds(PROJECTION_SQL)
         return tuple_result, attribute_result
 
     tuple_result, attribute_result = benchmark.pedantic(run, rounds=1, iterations=1)

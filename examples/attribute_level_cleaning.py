@@ -4,8 +4,9 @@ A maintenance team imputes missing or garbled cells in a sensor-reading feed,
 keeping every candidate repair as an OR-set.  The paper's tuple-level
 labeling marks a whole row uncertain as soon as one cell is ambiguous, so a
 report that never looks at the ambiguous column still loses its certainty
-marks.  The attribute-level extension keeps track of *which* cells are
-uncertain, so projections onto clean columns stay certain.
+marks.  The attribute-level (AU-DB) reading keeps one value range per cell --
+from the smallest to the largest candidate repair -- so projections onto
+clean columns have collapsed ranges and stay certain.
 
 Run with::
 
@@ -14,11 +15,12 @@ Run with::
 
 from __future__ import annotations
 
+import repro
 from repro.db import algebra
 from repro.db.expressions import Column, Comparison, Literal
 from repro.db.schema import Attribute, DataType, RelationSchema
 from repro.incomplete import ORDatabase, OrSet
-from repro.core import UADatabase
+from repro.core import AttributeBoundsRelation, UADatabase
 
 
 def build_readings() -> ORDatabase:
@@ -58,18 +60,21 @@ def main() -> None:
 
     # Paper's tuple-level labeling (via the x-DB encoding of the OR-database).
     tuple_level = UADatabase.from_ordb(ordb).query(plan)
-    # Attribute-level labeling of the same best-guess world.
-    attribute_level = ordb.to_attribute_ua().query(plan)
+    # Attribute-level ranges of the same OR-database, queried in SQL.
+    with repro.connect() as conn:
+        conn.register_attribute_relation(AttributeBoundsRelation.from_ordb(relation))
+        attribute_level = conn.query_bounds(
+            "SELECT sensor, status FROM readings WHERE hour <= 2")
+        attribute_certain = set(attribute_level.certain_rows())
 
     print("sensor   status   tuple-level   attribute-level")
     for row in sorted(set(tuple_level.rows()) | set(attribute_level.rows())):
         tuple_mark = "certain" if tuple_level.is_certain(row) else "uncertain"
-        attr_mark = "certain" if attribute_level.is_certain(row) else "uncertain"
+        attr_mark = "certain" if row in attribute_certain else "uncertain"
         print(f"{row[0]:<9}{row[1]:<9}{tuple_mark:<14}{attr_mark}")
 
     recovered = [
-        row for row in attribute_level.certain_rows()
-        if not tuple_level.is_certain(row)
+        row for row in attribute_certain if not tuple_level.is_certain(row)
     ]
     print(f"\nThe attribute-level labels recover {len(recovered)} certain answer(s) "
           "that the tuple-level labeling misclassifies: the report never reads "

@@ -5,7 +5,8 @@ The package is organized bottom-up:
 * :mod:`repro.semirings` -- commutative semirings and annotation algebra,
 * :mod:`repro.db`        -- the in-memory relational engine and SQL front-end,
 * :mod:`repro.incomplete` -- incomplete / probabilistic data models,
-* :mod:`repro.core`      -- UA-DBs: labelings, encodings, rewriting,
+* :mod:`repro.core`      -- UA-DBs: labelings, encodings, rewriting, and
+  attribute-level AU-DB ranges (built from UA-relations, x-DBs or OR-DBs),
 * :mod:`repro.api`       -- the DB-API-style session layer behind
   :func:`repro.connect`: connections, cursors, parameterized queries, the
   prepared-plan cache, the persistent ``.uadb`` store and the connection
@@ -13,8 +14,8 @@ The package is organized bottom-up:
 * :mod:`repro.server`    -- an asyncio HTTP/JSON query service over the
   pool (``python -m repro.server``) with a stdlib client,
 * :mod:`repro.extensions` -- the paper's future-work items: possible-annotation
-  bounds (UAP-DBs with difference/negation), aggregation with certainty
-  bounds, attribute-level uncertainty labels,
+  bounds (UAP-DBs with difference/negation) and aggregation with certainty
+  bounds,
 * :mod:`repro.baselines` -- systems compared against in the evaluation,
 * :mod:`repro.workloads` -- data and query generators used by the experiments,
 * :mod:`repro.metrics`   -- quality metrics (FNR, precision/recall, ...),

@@ -38,14 +38,19 @@ Tuple-level UA annotations are the degenerate case: collapsed ranges
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
-    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, Iterator, List, Optional,
+    Sequence, Tuple,
 )
 
 from repro.db.relation import KRelation, Row, _row_sort_key, render_table
 from repro.db.schema import Attribute, DataType, RelationSchema
 from repro.semirings import NATURAL, Semiring
+
+if TYPE_CHECKING:
+    from repro.incomplete.ordb import ORRelation
+    from repro.incomplete.xdb import XRelation
 
 __all__ = [
     "AttributeBoundsRelation",
@@ -57,6 +62,7 @@ __all__ = [
     "attribute_encoded_schema",
     "decode_attribute_relation",
     "encode_attribute_relation",
+    "fragment_certain",
     "is_attribute_encoded",
     "logical_schema_from_encoded",
     "read_attribute_fragments",
@@ -97,14 +103,6 @@ class AttributeLabel:
 
     existence_certain: bool
     uncertain_attributes: FrozenSet[str] = frozenset()
-    # Lower-cased uncertain-attribute names, computed once per label:
-    # ``attribute_certain`` runs per cell when labeling result rows.
-    _lowered: FrozenSet[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_lowered",
-            frozenset(a.lower() for a in self.uncertain_attributes))
 
     @property
     def certain(self) -> bool:
@@ -113,19 +111,23 @@ class AttributeLabel:
 
     def attribute_certain(self, name: str) -> bool:
         """True when the attribute's value is the same in every world."""
-        return name.lower() not in self._lowered
-
-    def better_than(self, other: "AttributeLabel") -> bool:
-        """Partial preference order used when merging duplicate rows."""
-        if self.certain != other.certain:
-            return self.certain
-        if self.existence_certain != other.existence_certain:
-            return self.existence_certain
-        return len(self.uncertain_attributes) < len(other.uncertain_attributes)
+        name = name.lower()
+        return all(a.lower() != name for a in self.uncertain_attributes)
 
 
 #: The shared labels of rows without an uncertain attribute, by existence flag.
 _CLOSED_LABELS = {flag: AttributeLabel(flag) for flag in (False, True)}
+
+
+def fragment_certain(low: int, ranges: Iterable[Range]) -> bool:
+    """Whether a fragment is a certain answer: present in every world
+    (``m_lb = low >= 1``) with every range collapsed or all-NULL."""
+    if low < 1:
+        return False
+    for lower, _, upper in ranges:
+        if lower != upper and lower is not None:
+            return False
+    return True
 
 
 def _as_count(value: Any, what: str) -> int:
@@ -186,6 +188,23 @@ def check_range(name: str, bounds: Sequence[Any]) -> Range:
             f"range for {name!r} must satisfy lower <= best <= upper, "
             f"got {bounds!r}")
     return (lower, best, upper)
+
+
+def _candidate_range(relation: str, name: str, values: Sequence[Any],
+                     best: Any) -> Range:
+    """The ``(min, best, max)`` range of one cell's candidate values."""
+    if any(value is None for value in values):
+        if any(value is not None for value in values):
+            raise RangeError(
+                f"relation {relation!r}, attribute {name!r}: candidates "
+                f"{tuple(values)!r} mix NULL and non-NULL values")
+        return (None, None, None)
+    try:
+        return (min(values), best, max(values))
+    except TypeError as exc:
+        raise RangeError(
+            f"relation {relation!r}, attribute {name!r}: candidates "
+            f"{tuple(values)!r} are not comparable") from exc
 
 
 def _coerce_range(value: Any) -> Sequence[Any]:
@@ -289,6 +308,46 @@ class AttributeBoundsRelation:
                                (min(certain, det), det, det))
         return result
 
+    @classmethod
+    def from_xdb(cls, x_relation: "XRelation") -> "AttributeBoundsRelation":
+        """The AU-DB reading of an x-relation: one fragment per x-tuple.
+
+        Each attribute's range spans the x-tuple's alternatives, from the
+        smallest value to the largest, around the value of
+        ``best_alternative()``.  The multiplicity triple is ``(0 if
+        optional else 1, 1 if a best alternative is chosen else 0, 1)``; an
+        x-tuple that the best-guess world omits still needs best values for
+        its ranges and takes its first alternative's.  A cell whose
+        alternatives mix NULL and non-NULL values has no range and raises
+        :class:`RangeError`.
+        """
+        schema = x_relation.schema
+        result = cls(schema)
+        for x_tuple in x_relation:
+            best = x_tuple.best_alternative()
+            guess = x_tuple.alternatives[0] if best is None else best
+            result.add_bounded(
+                [_candidate_range(schema.name, name, values, value)
+                 for name, values, value in zip(
+                     schema.attribute_names, zip(*x_tuple.alternatives), guess)],
+                (0 if x_tuple.optional else 1, 0 if best is None else 1, 1))
+        return result
+
+    @classmethod
+    def from_ordb(cls, or_relation: "ORRelation") -> "AttributeBoundsRelation":
+        """The AU-DB reading of an OR-relation: one certainly present
+        fragment per OR-tuple, each cell ranging over its candidates around
+        the best-guess candidate (:meth:`from_xdb` for the NULL rule)."""
+        schema = or_relation.schema
+        result = cls(schema)
+        for or_tuple in or_relation:
+            result.add_bounded(
+                [_candidate_range(schema.name, name, or_tuple.candidates(i), value)
+                 for i, (name, value) in enumerate(
+                     zip(schema.attribute_names, or_tuple.best_guess()))],
+                (1, 1, 1))
+        return result
+
     # -- access -------------------------------------------------------------
 
     @property
@@ -328,18 +387,18 @@ class AttributeBoundsRelation:
         return counts
 
     def certain_rows(self) -> List[Row]:
-        """Rows of fragments that are certain: collapsed ranges and ``m_lb >= 1``."""
-        seen = set()
-        for ranges, (low, _, _) in self._data.items():
-            if low >= 1 and all(r[0] == r[2] or r[0] is None for r in ranges):
-                seen.add(tuple(r[1] for r in ranges))
+        """Rows of fragments that are certain (:func:`fragment_certain`)."""
+        seen = {tuple(r[1] for r in ranges)
+                for ranges, (low, _, _) in self._data.items()
+                if fragment_certain(low, ranges)}
         return sorted(seen, key=_row_sort_key)
 
     def labeled_rows(self) -> List[Tuple[Row, AttributeLabel]]:
         """Best-guess rows paired with their labels, sorted.
 
-        The label of a row is the *least certain* reading over the
-        fragments that produce it in the best-guess world:
+        A row that some certain fragment produces (:func:`fragment_certain`)
+        is labelled certain, as :meth:`certain_rows` reports it.  Any other
+        row merges the fragments that produce it in the best-guess world:
         ``existence_certain`` requires some producing fragment to be
         certainly present (``m_lb >= 1``), and an attribute is uncertain
         when any producing fragment's range for it is not collapsed.
@@ -413,19 +472,33 @@ def _bounds_sort_key(ranges: RangeRow) -> Tuple:
 def label_fragments(fragments: Iterable[Fragment],
                     names: Sequence[str]) -> List[Tuple[Row, AttributeLabel]]:
     """Merge fragments by best-guess row into sorted ``(row, label)`` pairs;
-    ``names`` are the attributes each fragment's ranges stand for, in order."""
-    exists: Dict[Row, bool] = {}
+    ``names`` are the attributes each fragment's ranges stand for, in order.
+    A row some certain fragment produces is certain; see
+    :meth:`AttributeBoundsRelation.labeled_rows`."""
+    # Per row: 0 -- no producing fragment is certainly present, 1 -- some
+    # is, 2 -- some is a certain answer (then its open names are moot).
+    state: Dict[Row, int] = {}
     open_names: Dict[Row, set] = {}
     for row, (low, best, _high), ranges in fragments:
         if best < 1:
             continue
-        exists[row] = low >= 1 or exists.get(row, False)
+        seen = state.get(row, 0)
+        if seen == 2:
+            continue
+        if fragment_certain(low, ranges):
+            state[row] = 2
+            continue
+        state[row] = 1 if low >= 1 else seen
         for name, (lower, _best, upper) in zip(names, ranges):
             if lower != upper:
                 open_names.setdefault(row, set()).add(name)
-    return [(row, AttributeLabel(exists[row], frozenset(open_names[row]))
-             if row in open_names else _CLOSED_LABELS[exists[row]])
-            for row in sorted(exists, key=_row_sort_key)]
+    labels = []
+    for row in sorted(state, key=_row_sort_key):
+        seen = state[row]
+        labels.append((row, AttributeLabel(seen == 1, frozenset(open_names[row]))
+                       if seen < 2 and row in open_names
+                       else _CLOSED_LABELS[seen >= 1]))
+    return labels
 
 
 # -- encoding ----------------------------------------------------------------

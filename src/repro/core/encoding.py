@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.db.database import Database
 from repro.db.relation import KRelation, Row, _row_sort_key
-from repro.db.schema import Attribute, DataType, RelationSchema
+from repro.db.schema import Attribute, DataType, RelationSchema, SchemaError
 from repro.semirings import BOOLEAN, NATURAL, Semiring
 from repro.semirings.ua import UAAnnotation, UASemiring
 from repro.core.uadb import UADatabase, UARelation
@@ -39,9 +39,11 @@ STORABLE_SEMIRINGS: Dict[str, Semiring] = {
 def _encoded_schema(schema: RelationSchema) -> RelationSchema:
     """The input schema extended with the certainty attribute."""
     if schema.has_attribute(CERTAINTY_COLUMN):
-        raise ValueError(
-            f"relation {schema.name!r} already has a column named {CERTAINTY_COLUMN!r}"
-        )
+        raise SchemaError(
+            f"relation {schema.name!r} has a column named "
+            f"{CERTAINTY_COLUMN!r}, which tuple-level relations reserve for "
+            f"their certainty column; rename it, or register the data as an "
+            f"attribute-level relation (register_attribute_relation)")
     return RelationSchema(
         schema.name,
         tuple(schema.attributes) + (Attribute(CERTAINTY_COLUMN, DataType.INTEGER),),

@@ -3,11 +3,13 @@
 The Figure 15 experiment measures how often the paper's tuple-level labeling
 misclassifies a certain projection answer as uncertain.  Those false
 negatives arise exactly when a projection drops every attribute on which an
-x-tuple's alternatives disagree; the attribute-level labels of
-:mod:`repro.extensions.attribute_level` track per-attribute certainty and
-therefore certify those answers.  This experiment re-runs the Figure 15
-workload with both labelings and reports their false-negative rates side by
-side.
+x-tuple's alternatives disagree.  The attribute-level (AU-DB) reading of the
+x-DB (:meth:`~repro.core.attribute_bounds.AttributeBoundsRelation.from_xdb`)
+keeps one value range per attribute, so a projection onto attributes whose
+alternatives agree has collapsed ranges and certifies those answers.  This
+experiment re-runs the Figure 15 workload with both labelings -- the
+attribute level through :meth:`~repro.api.session.Connection.query_bounds` --
+and reports their false-negative rates side by side.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
+from repro.api.session import connect
+from repro.core.attribute_bounds import AttributeBoundsRelation
 from repro.db import algebra
 from repro.db.expressions import Column
 from repro.core.uadb import UADatabase
-from repro.extensions.attribute_level import AttributeUADatabase
 from repro.experiments.projection_fnr import (
     ground_truth_certain_projection, random_projection_positions,
 )
@@ -41,32 +44,35 @@ def run(datasets: Optional[Sequence[str]] = None, scale: float = 0.0005,
         relation_name = dataset.schema.name
         x_relation = dataset.xdb.relation(relation_name)
         tuple_level = UADatabase.from_xdb(dataset.xdb)
-        attribute_level = AttributeUADatabase.from_xdb(dataset.xdb)
-        arity = dataset.schema.arity
-        for width in _projection_widths(arity, max_widths):
-            tuple_rates = []
-            attribute_rates = []
-            for _ in range(projections_per_width):
-                positions = random_projection_positions(arity, width, rng)
-                names = [dataset.schema.attribute_names[p] for p in positions]
-                plan = algebra.Projection(
-                    algebra.RelationRef(relation_name),
-                    tuple((Column(column), column) for column in names),
+        with connect() as attribute_level:
+            attribute_level.register_attribute_relation(
+                AttributeBoundsRelation.from_xdb(x_relation))
+            arity = dataset.schema.arity
+            for width in _projection_widths(arity, max_widths):
+                tuple_rates = []
+                attribute_rates = []
+                for _ in range(projections_per_width):
+                    positions = random_projection_positions(arity, width, rng)
+                    names = [dataset.schema.attribute_names[p] for p in positions]
+                    plan = algebra.Projection(
+                        algebra.RelationRef(relation_name),
+                        tuple((Column(column), column) for column in names),
+                    )
+                    truth = set(ground_truth_certain_projection(x_relation, positions))
+                    if not truth:
+                        tuple_rates.append(0.0)
+                        attribute_rates.append(0.0)
+                        continue
+                    tuple_certain = set(tuple_level.query(plan).certain_rows())
+                    attribute_certain = set(attribute_level.query_bounds(
+                        f"SELECT {', '.join(names)} FROM {relation_name}").certain_rows())
+                    tuple_rates.append(len(truth - tuple_certain) / len(truth))
+                    attribute_rates.append(len(truth - attribute_certain) / len(truth))
+                table.add_row(
+                    name, width,
+                    sum(tuple_rates) / len(tuple_rates),
+                    sum(attribute_rates) / len(attribute_rates),
                 )
-                truth = set(ground_truth_certain_projection(x_relation, positions))
-                if not truth:
-                    tuple_rates.append(0.0)
-                    attribute_rates.append(0.0)
-                    continue
-                tuple_certain = set(tuple_level.query(plan).certain_rows())
-                attribute_certain = set(attribute_level.query(plan).certain_rows())
-                tuple_rates.append(len(truth - tuple_certain) / len(truth))
-                attribute_rates.append(len(truth - attribute_certain) / len(truth))
-            table.add_row(
-                name, width,
-                sum(tuple_rates) / len(tuple_rates),
-                sum(attribute_rates) / len(attribute_rates),
-            )
     if show:
         table.show()
     return table

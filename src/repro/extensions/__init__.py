@@ -13,10 +13,12 @@ extensions on top of the core library:
   which is exactly the information needed to evaluate difference (negation)
   while preserving sound bounds,
 * :mod:`repro.extensions.aggregation` -- grouping and aggregation over
-  UAP-DBs with per-aggregate lower/upper bounds and a sound certainty label,
-* :mod:`repro.extensions.attribute_level` -- attribute-level uncertainty
-  labels, a finer-grained labeling that reduces the false-negative rate of
-  projection queries (the scenario of the paper's Figure 15).
+  UAP-DBs with per-aggregate lower/upper bounds and a sound certainty label.
+
+Attribute-level annotations are not here: they are the AU-DB ranges of
+:mod:`repro.core.attribute_bounds`, which every session engine evaluates
+(:meth:`repro.api.session.Connection.query_bounds`); x-DB and OR-DB sources
+enter them through ``AttributeBoundsRelation.from_xdb`` / ``from_ordb``.
 
 The semirings the conclusion mentions (provenance polynomials, why/lineage
 provenance, fuzzy confidences) live in :mod:`repro.semirings.provenance` and
@@ -33,11 +35,6 @@ from repro.extensions.possible import (
 )
 from repro.extensions.uapdb import UAPAnnotation, UAPSemiring, UAPRelation, UAPDatabase
 from repro.extensions.aggregation import AggregateBound, BoundedAggregateRow, ua_aggregate
-from repro.extensions.attribute_level import (
-    AttributeLabel,
-    AttributeUARelation,
-    AttributeUADatabase,
-)
 
 __all__ = [
     "label_possible_tidb",
@@ -52,7 +49,4 @@ __all__ = [
     "AggregateBound",
     "BoundedAggregateRow",
     "ua_aggregate",
-    "AttributeLabel",
-    "AttributeUARelation",
-    "AttributeUADatabase",
 ]

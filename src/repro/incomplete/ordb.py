@@ -15,8 +15,9 @@ The model relates to the others as follows:
   of its cells is an OR-set (Theorem 3 specialized to non-optional x-tuples),
 * flattening the per-cell choices of one tuple into alternatives yields an
   x-tuple, so an OR-database converts to an x-DB (:meth:`ORDatabase.to_xdb`),
-* keeping the choices per attribute converts losslessly to the attribute-level
-  labels of :mod:`repro.extensions.attribute_level`.
+* keeping the choices per attribute gives the attribute-level (AU-DB) reading,
+  one range per cell from its smallest to its largest candidate
+  (:meth:`repro.core.attribute_bounds.AttributeBoundsRelation.from_ordb`).
 """
 
 from __future__ import annotations
@@ -313,22 +314,6 @@ class ORDatabase:
                 x_relation.add(XTuple(alternatives, probabilities))
             # relation registered by create_relation
         return xdb
-
-    def to_attribute_ua(self, name: Optional[str] = None):
-        """Attribute-level labeling of the best-guess world (lossy but compact)."""
-        from repro.extensions.attribute_level import AttributeLabel, AttributeUADatabase, AttributeUARelation
-
-        database = AttributeUADatabase(name or f"{self.name}_attr_ua")
-        for relation in self.relations.values():
-            attribute_names = relation.schema.attribute_names
-            attr_relation = AttributeUARelation(relation.schema)
-            for or_tuple in relation.tuples:
-                uncertain = frozenset(
-                    attribute_names[index] for index in or_tuple.uncertain_positions()
-                )
-                attr_relation.add_row(or_tuple.best_guess(), AttributeLabel(True, uncertain))
-            database.add_relation(attr_relation)
-        return database
 
     def __repr__(self) -> str:
         return f"<ORDatabase {self.name!r} {len(self.relations)} relations>"

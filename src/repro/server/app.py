@@ -59,6 +59,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api.pool import ConnectionPool, PoolError, PoolTimeout
 from repro.api.session import SessionError
 from repro.api.store import StoreError, UnstorableRelationError
+from repro.core.attribute_bounds import fragment_certain
 from repro.db.engine import dispatch_counts, get_engine
 from repro.db.engine.base import EvaluationError, UnknownEngineError
 from repro.db.params import ParameterError
@@ -592,11 +593,11 @@ class UADBServer:
         """Attribute-mode body of ``/query``: one row per range fragment.
 
         Each fragment of the :class:`~repro.core.AttributeBoundsRelation`
-        answer yields its best-guess row, a certainty flag (collapsed
-        ranges and ``m_lb >= 1``), and a bounds record with the per-cell
-        ``[lower, best, upper]`` triples plus the fragment's multiplicity
-        triple -- so clients see the full AU-DB answer, not just the
-        best-guess world.
+        answer yields its best-guess row, a certainty flag
+        (:func:`~repro.core.attribute_bounds.fragment_certain`), and a
+        bounds record with the per-cell ``[lower, best, upper]`` triples
+        plus the fragment's multiplicity triple -- so clients see the full
+        AU-DB answer, not just the best-guess world.
         """
         result = conn.query_bounds(sql, params)
         columns = list(result.schema.attribute_names)
@@ -607,8 +608,7 @@ class UADBServer:
         bounds: List[Dict[str, Any]] = []
         for ranges, multiplicity in result.bounded_rows():
             rows.append([r[1] for r in ranges])
-            certain.append(multiplicity[0] >= 1 and all(
-                r[0] == r[2] or r[0] is None for r in ranges))
+            certain.append(fragment_certain(multiplicity[0], ranges))
             bounds.append({"cells": [list(r) for r in ranges],
                            "multiplicity": list(multiplicity)})
         return columns, types, rows, certain, bounds, result.elapsed

@@ -208,6 +208,33 @@ def test_create_table_unknown_type_rejected():
         conn.execute("CREATE TABLE t (a BLOB)")
 
 
+def test_column_c_is_reserved_at_the_tuple_level():
+    """``C`` is the certainty column of every tuple-level table: each way of
+    declaring a column of that name fails with a SchemaError saying so, and
+    registers nothing.  An attribute-level relation may use the name."""
+    from repro.core import AttributeBoundsRelation
+    from repro.db.schema import Attribute
+    from repro.incomplete import XDatabase
+
+    xdb = XDatabase("x")
+    xdb.create_relation(RelationSchema(
+        "v", [Attribute("id", DataType.INTEGER),
+              Attribute("c", DataType.INTEGER)])).add_certain((1, 2))
+    with connect() as conn:
+        for attempt in (
+                lambda: conn.execute("CREATE TABLE t (id INT, c INT)"),
+                lambda: conn.load("u", [{"id": 1, "c": 2}]),
+                lambda: conn.register_xdb(xdb)):
+            with pytest.raises(SchemaError,
+                               match="'C'.*register_attribute_relation"):
+                attempt()
+        assert set(conn.encoded.relation_names()) == set()
+        conn.execute("CREATE TABLE t (id INT, cc INT)")
+        conn.register_attribute_relation(
+            AttributeBoundsRelation.from_xdb(xdb.relation("v")))
+        assert conn.query_bounds("SELECT c FROM v").certain_rows() == [(2,)]
+
+
 def test_create_table_unterminated_type_suffix_is_syntax_error():
     conn = connect()
     with pytest.raises(SQLSyntaxError):

@@ -26,9 +26,9 @@ import pytest
 
 import repro
 from repro.core import AttributeBoundsRelation, RangeError
+from repro.core.attribute_bounds import AttributeLabel
 from repro.core.rewriter import RewriteError
 from repro.db.schema import Attribute, DataType, RelationSchema
-from repro.extensions.attribute_level import AttributeLabel
 from repro.core.uadb import UADatabase, UARelation
 from repro.semirings import NATURAL
 
@@ -229,13 +229,3 @@ def test_invariant_checks_reject_malformed_ranges():
         relation.add_bounded(((1, 1, 1),), (2, 1, 1))   # m_lb > m_bg
     with pytest.raises(RangeError):
         relation.add_bounded(((1, 1, 1),), (-1, 0, 1))  # negative count
-
-
-def test_attribute_label_precomputes_lowered_names():
-    """The per-call lowering is gone: lookups hit a precomputed frozenset."""
-    label = AttributeLabel(existence_certain=True,
-                           uncertain_attributes=frozenset({"Price", "qty"}))
-    assert not label.attribute_certain("PRICE")
-    assert not label.attribute_certain("qty")
-    assert label.attribute_certain("name")
-    assert label._lowered == frozenset({"price", "qty"})

@@ -107,6 +107,8 @@ def _assert_same_view(view, expected) -> None:
     assert view.labeled_rows() == expected.labeled_rows()
     assert view.rows() == expected.rows()
     assert view.certain_rows() == expected.certain_rows()
+    assert view.certain_rows() == [
+        row for row, label in view.labeled_rows() if label.certain]
     assert view.uncertain_rows() == expected.uncertain_rows()
     assert view.bounded_rows() == expected.bounded_rows()
     assert len(view) == len(expected)
@@ -284,6 +286,23 @@ def test_the_certain_label_is_shared():
     assert repr(labels[0]) == ("AttributeLabel(existence_certain=True, "
                                "uncertain_attributes=frozenset())")
     conn.close()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_certain_fragment_certifies_its_row(engine):
+    """Two fragments meet in one best-guess row; the collapsed, certainly
+    present one makes it certain, whatever the other's ``x`` range says."""
+    t = AttributeBoundsRelation(RelationSchema("t", ["g", "x"]))
+    t.add_bounded((1, 5), (1, 1, 1))
+    t.add_bounded((1, (4, 5, 6)), (0, 1, 1))
+    with repro.connect(engine=engine) as conn:
+        conn.register_attribute_relation(t)
+        result = conn.query_bounds("SELECT g, x FROM t")
+        assert result.certain_rows() == [(1, 5)]
+        assert result.uncertain_rows() == []
+        assert result.labeled_rows() == [((1, 5), AttributeLabel(True))]
+        assert AttributeQueryResult(result.relation).labeled_rows() == [
+            ((1, 5), AttributeLabel(True))]
 
 
 # -- snapshot rule ---------------------------------------------------------------

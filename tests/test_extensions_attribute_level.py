@@ -1,18 +1,23 @@
-"""Tests for attribute-level uncertainty annotations."""
+"""Attribute-level labels of x-DB sources, answered by the range rewriter.
+
+An x-relation enters attribute mode as one range fragment per x-tuple
+(:meth:`AttributeBoundsRelation.from_xdb`); SQL over it runs through
+:meth:`Connection.query_bounds`, and each answer row's
+:class:`AttributeLabel` says whether it certainly exists and which of its
+attributes may vary across worlds.
+"""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.db import algebra
-from repro.db.evaluator import evaluate
-from repro.db.expressions import Column, Comparison, Literal
-from repro.db.schema import Attribute, DataType, RelationSchema
-from repro.incomplete import NamedNull, VTableDatabase, XDatabase
-from repro.core.uadb import UADatabase
-from repro.extensions import AttributeLabel, AttributeUADatabase, AttributeUARelation
+import repro
+from repro.core.attribute_bounds import (
+    AttributeBoundsRelation, AttributeLabel, RangeError,
+)
+from repro.core.attribute_rewriter import AttributeRewriteError
+from repro.db.schema import Attribute, DataType, RelationSchema, SchemaError
+from repro.incomplete import XDatabase
 
 
 @pytest.fixture
@@ -38,6 +43,24 @@ def person_xdb(person_schema) -> XDatabase:
     return xdb
 
 
+def _attribute_session(xdb: XDatabase) -> repro.Connection:
+    """A connection holding every x-relation of ``xdb`` as range fragments."""
+    conn = repro.connect()
+    for x_relation in xdb:
+        conn.register_attribute_relation(AttributeBoundsRelation.from_xdb(x_relation))
+    return conn
+
+
+def _labels(conn: repro.Connection, sql: str):
+    return dict(conn.query_bounds(sql).labeled_rows())
+
+
+def _tuple_certain(xdb: XDatabase, sql: str):
+    with repro.connect() as conn:
+        conn.register_xdb(xdb)
+        return set(conn.query(sql).certain_rows())
+
+
 # -- labels ------------------------------------------------------------------------
 
 
@@ -50,20 +73,8 @@ class TestAttributeLabel:
     def test_attribute_certain_is_case_insensitive(self):
         label = AttributeLabel(True, frozenset({"City"}))
         assert not label.attribute_certain("city")
+        assert not label.attribute_certain("CITY")
         assert label.attribute_certain("name")
-
-    def test_better_than_prefers_more_certain_labels(self):
-        certain = AttributeLabel(True)
-        partial = AttributeLabel(True, frozenset({"city"}))
-        absent = AttributeLabel(False)
-        assert certain.better_than(partial)
-        assert partial.better_than(absent)
-        assert not absent.better_than(partial)
-
-    def test_unknown_attribute_in_label_is_rejected(self, person_schema):
-        relation = AttributeUARelation(person_schema)
-        with pytest.raises(ValueError):
-            relation.add_row((1, "a", "b"), AttributeLabel(True, frozenset({"salary"})))
 
 
 # -- labeling schemes -----------------------------------------------------------------
@@ -71,43 +82,50 @@ class TestAttributeLabel:
 
 class TestLabelingSchemes:
     def test_from_xdb_flags(self, person_xdb):
-        database = AttributeUADatabase.from_xdb(person_xdb)
-        relation = database.relation("person")
-        alice = relation.label((1, "alice", "buffalo"))
-        bob = relation.label((2, "bob", "chicago"))
-        carol = relation.label((3, "carol", "buffalo"))
+        with _attribute_session(person_xdb) as conn:
+            labels = _labels(conn, "SELECT id, name, city FROM person")
+        alice = labels[(1, "alice", "buffalo")]
+        bob = labels[(2, "bob", "chicago")]
+        carol = labels[(3, "carol", "buffalo")]
         assert alice.certain
         assert bob.existence_certain and not bob.certain
         assert bob.uncertain_attributes == frozenset({"city"})
         assert not carol.existence_certain and not carol.uncertain_attributes
 
+    def test_from_xdb_fragments(self, person_xdb, person_schema):
+        person = person_xdb.relation("person")
+        # Omitted from the best guess (0.2 < 1 - 0.4): m_bg = 0, and the
+        # best values are the first alternative's.
+        person.add_alternatives([(4, "dan", "utica"), (4, "dan", "albany")],
+                                probabilities=[0.2, 0.2])
+        assert AttributeBoundsRelation.from_xdb(person).bounded_rows() == [
+            (((1, 1, 1), ("alice",) * 3, ("buffalo",) * 3), (1, 1, 1)),
+            (((2, 2, 2), ("bob",) * 3, ("chicago", "chicago", "tucson")), (1, 1, 1)),
+            (((3, 3, 3), ("carol",) * 3, ("buffalo",) * 3), (0, 1, 1)),
+            (((4, 4, 4), ("dan",) * 3, ("albany", "utica", "utica")), (0, 0, 1)),
+        ]
+        mixed = XDatabase("mixed").create_relation(person_schema)
+        mixed.add_alternatives([(5, "eve", None), (5, "eve", "rome")])
+        with pytest.raises(RangeError, match="'person'.*'city'"):
+            AttributeBoundsRelation.from_xdb(mixed)
+
     def test_row_level_view_is_backwards_compatible(self, person_xdb):
         """A tuple is certain at the attribute level iff label_xdb certifies it."""
-        attribute_db = AttributeUADatabase.from_xdb(person_xdb)
-        tuple_db = UADatabase.from_xdb(person_xdb)
-        attribute_relation = attribute_db.relation("person")
-        tuple_relation = tuple_db.relation("person")
-        for row in attribute_relation.rows():
-            assert attribute_relation.is_certain(row) == tuple_relation.is_certain(row)
+        sql = "SELECT id, name, city FROM person"
+        with _attribute_session(person_xdb) as conn:
+            result = conn.query_bounds(sql)
+            attribute_certain = set(result.certain_rows())
+            rows = result.rows()
+        tuple_certain = _tuple_certain(person_xdb, sql)
+        for row in rows:
+            assert (row in attribute_certain) == (row in tuple_certain)
 
-    def test_from_vtable(self, person_schema):
-        null_city = NamedNull("c1")
-        vdb = VTableDatabase("vdb")
-        vtable = vdb.create_relation(person_schema)
-        vtable.add((1, "alice", "buffalo"))
-        vtable.add((2, "bob", null_city))
-        database = AttributeUADatabase.from_vtable(vdb, guesses={null_city: "chicago"})
-        relation = database.relation("person")
-        assert relation.is_certain((1, "alice", "buffalo"))
-        bob = relation.label((2, "bob", "chicago"))
-        assert bob.existence_certain
-        assert bob.uncertain_attributes == frozenset({"city"})
-
-    def test_duplicate_relation_names_rejected(self, person_schema):
-        database = AttributeUADatabase()
-        database.create_relation(person_schema)
-        with pytest.raises(ValueError):
-            database.create_relation(person_schema)
+    def test_duplicate_relation_names_rejected(self, person_xdb):
+        relation = AttributeBoundsRelation.from_xdb(person_xdb.relation("person"))
+        with repro.connect() as conn:
+            conn.register_attribute_relation(relation)
+            with pytest.raises(SchemaError):
+                conn.register_attribute_relation(relation)
 
 
 # -- query propagation ------------------------------------------------------------------
@@ -116,52 +134,37 @@ class TestLabelingSchemes:
 class TestQueryPropagation:
     def test_projection_onto_certain_attributes_recovers_certainty(self, person_xdb):
         """Projecting away the uncertain city makes bob's answer certain."""
-        database = AttributeUADatabase.from_xdb(person_xdb)
-        plan = algebra.Projection(
-            algebra.RelationRef("person"),
-            ((Column("id"), "id"), (Column("name"), "name")),
-        )
-        result = database.query(plan)
-        assert result.is_certain((1, "alice"))
-        assert result.is_certain((2, "bob"))          # recovered certainty
-        assert not result.is_certain((3, "carol"))    # existence still uncertain
+        sql = "SELECT id, name FROM person"
+        with _attribute_session(person_xdb) as conn:
+            labels = _labels(conn, sql)
+        assert labels[(1, "alice")].certain
+        assert labels[(2, "bob")].certain          # recovered certainty
+        assert not labels[(3, "carol")].certain    # existence still uncertain
         # The tuple-level UA-DB misclassifies bob (a false negative).
-        tuple_result = UADatabase.from_xdb(person_xdb).query(plan)
-        assert not tuple_result.is_certain((2, "bob"))
+        assert (2, "bob") not in _tuple_certain(person_xdb, sql)
 
     def test_projection_keeping_uncertain_attribute_stays_uncertain(self, person_xdb):
-        database = AttributeUADatabase.from_xdb(person_xdb)
-        plan = algebra.Projection(
-            algebra.RelationRef("person"),
-            ((Column("id"), "id"), (Column("city"), "city")),
-        )
-        result = database.query(plan)
-        assert result.is_certain((1, "buffalo"))            # alice is fully certain
-        assert not result.is_certain((2, "chicago"))        # bob's city is uncertain
-        assert not result.is_certain((3, "buffalo"))        # carol may be absent
-        label = result.label((2, "chicago"))
+        with _attribute_session(person_xdb) as conn:
+            labels = _labels(conn, "SELECT id, city FROM person")
+        assert labels[(1, "buffalo")].certain            # alice is fully certain
+        assert not labels[(2, "chicago")].certain        # bob's city is uncertain
+        assert not labels[(3, "buffalo")].certain        # carol may be absent
+        label = labels[(2, "chicago")]
         assert label.existence_certain
         assert label.uncertain_attributes == frozenset({"city"})
 
     def test_selection_on_certain_attribute_keeps_certainty(self, person_xdb):
-        database = AttributeUADatabase.from_xdb(person_xdb)
-        plan = algebra.Selection(
-            algebra.RelationRef("person"),
-            Comparison("=", Column("name"), Literal("bob")),
-        )
-        result = database.query(plan)
-        label = result.label((2, "bob", "chicago"))
+        with _attribute_session(person_xdb) as conn:
+            labels = _labels(conn, "SELECT id, name, city FROM person WHERE name = 'bob'")
+        label = labels[(2, "bob", "chicago")]
         assert label.existence_certain
         assert not label.certain  # city still uncertain
 
     def test_selection_on_uncertain_attribute_demotes_existence(self, person_xdb):
-        database = AttributeUADatabase.from_xdb(person_xdb)
-        plan = algebra.Selection(
-            algebra.RelationRef("person"),
-            Comparison("=", Column("city"), Literal("chicago")),
-        )
-        result = database.query(plan)
-        label = result.label((2, "bob", "chicago"))
+        with _attribute_session(person_xdb) as conn:
+            labels = _labels(
+                conn, "SELECT id, name, city FROM person WHERE city = 'chicago'")
+        label = labels[(2, "bob", "chicago")]
         assert not label.existence_certain
 
     def test_join_requires_certain_join_attributes(self, person_schema):
@@ -176,17 +179,13 @@ class TestQueryPropagation:
         visits = xdb.create_relation(visits_schema)
         visits.add_certain(("alice", "museum"))
         visits.add_certain(("bob", "stadium"))
-        database = AttributeUADatabase.from_xdb(xdb)
-        plan = algebra.Projection(
-            algebra.Join(
-                algebra.RelationRef("person"), algebra.RelationRef("visit"),
-                Comparison("=", Column("name"), Column("person")),
-            ),
-            ((Column("name"), "name"), (Column("place"), "place")),
-        )
-        result = database.query(plan)
-        assert result.is_certain(("alice", "museum"))
-        assert result.is_certain(("bob", "stadium"))
+        with _attribute_session(xdb) as conn:
+            result = conn.query_bounds(
+                "SELECT p.name, v.place FROM person p, visit v "
+                "WHERE p.name = v.person")
+            certain = set(result.certain_rows())
+        assert ("alice", "museum") in certain
+        assert ("bob", "stadium") in certain
 
     def test_join_on_uncertain_attribute_is_not_certain(self, person_schema):
         city_schema = RelationSchema("cities", [
@@ -198,75 +197,27 @@ class TestQueryPropagation:
         people.add_alternatives([(2, "bob", "chicago"), (2, "bob", "tucson")])
         cities = xdb.create_relation(city_schema)
         cities.add_certain(("chicago", "IL"))
-        database = AttributeUADatabase.from_xdb(xdb)
-        plan = algebra.Join(
-            algebra.RelationRef("person"), algebra.RelationRef("cities"),
-            Comparison("=", Column("city", qualifier="person"),
-                       Column("city", qualifier="cities")),
-        )
-        result = database.query(plan)
-        rows = result.rows()
-        assert len(rows) == 1
-        assert not result.label(rows[0]).existence_certain
+        with _attribute_session(xdb) as conn:
+            pairs = conn.query_bounds(
+                "SELECT p.id, p.city, c.state FROM person p, cities c "
+                "WHERE p.city = c.city").labeled_rows()
+        assert len(pairs) == 1
+        assert not pairs[0][1].existence_certain
 
-    def test_union_merges_labels(self, person_xdb, person_schema):
-        database = AttributeUADatabase.from_xdb(person_xdb)
-        plan = algebra.Union(
-            algebra.RelationRef("person"), algebra.RelationRef("person"),
-        )
-        result = database.query(plan)
-        assert result.is_certain((1, "alice", "buffalo"))
-        assert len(result) == len(database.relation("person"))
+    def test_union_merges_labels(self, person_xdb):
+        with _attribute_session(person_xdb) as conn:
+            result = conn.query_bounds(
+                "SELECT id, name, city FROM person "
+                "UNION ALL SELECT id, name, city FROM person")
+            single = conn.query_bounds("SELECT id, name, city FROM person")
+        assert (1, "alice", "buffalo") in result.certain_rows()
+        # Equal fragments merge, their multiplicities adding up.
+        assert len(result) == len(single)
+        assert result.rows() == single.rows()
+        assert [m for _, m in result.bounded_rows()] == [
+            tuple(2 * n for n in m) for _, m in single.bounded_rows()]
 
     def test_unsupported_operator_raises(self, person_xdb):
-        database = AttributeUADatabase.from_xdb(person_xdb)
-        plan = algebra.Aggregate(
-            algebra.RelationRef("person"), ((Column("city"), "city"),),
-            (algebra.AggregateFunction("count", None, "n"),),
-        )
-        with pytest.raises(ValueError):
-            database.query(plan)
-
-
-# -- soundness property -------------------------------------------------------------------
-
-
-@st.composite
-def random_xdbs(draw):
-    """Small random x-DBs over a fixed three-attribute schema."""
-    schema = RelationSchema("r", [
-        Attribute("a", DataType.INTEGER),
-        Attribute("b", DataType.INTEGER),
-        Attribute("c", DataType.INTEGER),
-    ])
-    xdb = XDatabase("random")
-    relation = xdb.create_relation(schema)
-    num_tuples = draw(st.integers(min_value=1, max_value=3))
-    for index in range(num_tuples):
-        num_alternatives = draw(st.integers(min_value=1, max_value=2))
-        optional = draw(st.booleans())
-        alternatives = []
-        for _ in range(num_alternatives):
-            alternatives.append((
-                index,
-                draw(st.integers(min_value=0, max_value=1)),
-                draw(st.integers(min_value=0, max_value=1)),
-            ))
-        relation.add_alternatives(alternatives, optional=optional)
-    return xdb
-
-
-@settings(max_examples=40, deadline=None)
-@given(random_xdbs(), st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
-def test_attribute_level_projection_is_c_sound(xdb, projection):
-    """Every projection answer labeled certain truly appears in all worlds."""
-    database = AttributeUADatabase.from_xdb(xdb)
-    plan = algebra.Projection(
-        algebra.RelationRef("r"),
-        tuple((Column(name), name) for name in projection),
-    )
-    result = database.query(plan)
-    worlds = [evaluate(plan, world) for world in xdb.possible_worlds()]
-    for row in result.rows():
-        if result.is_certain(row):
-            assert all(row in world for world in worlds)
+        with _attribute_session(person_xdb) as conn:
+            with pytest.raises(AttributeRewriteError):
+                conn.query_bounds("SELECT id FROM person ORDER BY id LIMIT 1")

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.core.attribute_bounds import AttributeBoundsRelation
 from repro.db import algebra
 from repro.db.evaluator import evaluate
 from repro.db.expressions import Column, Comparison, Literal
@@ -190,13 +192,22 @@ class TestConversions:
         with pytest.raises(ValueError):
             ordb.to_xdb(alternative_limit=10)
 
-    def test_to_attribute_ua(self, readings):
-        database = readings.to_attribute_ua()
-        relation = database.relation("readings")
-        label = relation.label(("s1", 2, 11))
+    def test_from_ordb(self, readings):
+        relation = AttributeBoundsRelation.from_ordb(readings.relation("readings"))
+        assert relation.bounded_rows() == [
+            ((("s1",) * 3, (1, 1, 1), (10, 10, 10)), (1, 1, 1)),
+            ((("s1",) * 3, (2, 2, 2), (11, 11, 13)), (1, 1, 1)),
+            ((("s2",) * 3, (1, 1, 1), (7, 7, 7)), (1, 1, 1)),
+            ((("s2", "s2", "s3"), (2, 2, 2), (9, 9, 9)), (1, 1, 1)),
+        ]
+        with repro.connect() as conn:
+            conn.register_attribute_relation(relation)
+            labels = dict(conn.query_bounds(
+                "SELECT sensor, hour, value FROM readings").labeled_rows())
+        label = labels[("s1", 2, 11)]
         assert label.existence_certain
         assert label.uncertain_attributes == frozenset({"value"})
-        assert relation.is_certain(("s1", 1, 10))
+        assert labels[("s1", 1, 10)].certain
 
 
 # -- property: labeling soundness on random OR-databases -----------------------------------
