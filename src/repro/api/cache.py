@@ -9,11 +9,11 @@ a lookup under a newer catalog version is treated as a miss and the stale
 entry is dropped, so registering or creating a relation transparently
 invalidates every plan compiled before it.
 
-Entries additionally carry the *statistics version* they were optimized
-under.  The cost-based optimizer bakes table statistics into the cached
-plan (its join order), so a bulk ``INSERT`` that shifts table sizes must
-invalidate it the same way DDL does; lookups that pass a
-``stats_version`` treat a mismatch as a miss.
+An entry may additionally carry the *data version* it was compiled under
+(its ``stats_version``); lookups that pass a ``stats_version`` treat a
+mismatch as a miss.  The session's CREATE and INSERT entries carry it.  Its
+SELECT entries carry ``None``: no statistics and no data enter a SELECT
+plan, so a write leaves it cached and the read after it is one probe.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ class PlanCache:
             stats_version: Optional[int] = None) -> Optional[Any]:
         """The cached entry for ``key``, or None on a miss/stale entry.
 
-        ``stats_version`` is the caller's current statistics version;
-        ``None`` skips the check (callers without a statistics layer).
-        Entries lacking the attribute never stats-invalidate.
+        ``stats_version`` is the caller's current data version; ``None``
+        skips the check.  Entries whose own ``stats_version`` is ``None``
+        (or missing) never invalidate on it.
         """
         entry = self._entries.get(key)
         if entry is None:
@@ -142,12 +142,12 @@ class SharedPlanCache(PlanCache):
 
     @property
     def stats_version(self) -> int:
-        """The shared monotonic statistics version of the sharing connections."""
+        """The shared monotonic data version of the sharing connections."""
         with self._lock:
             return self._stats_version
 
     def bump_stats_version(self) -> int:
-        """Advance the shared statistics version (INSERTs, recollections)."""
+        """Advance the shared data version (INSERTs, registrations)."""
         with self._lock:
             self._stats_version += 1
             return self._stats_version

@@ -232,12 +232,11 @@ class AttributeQueryResult:
     def certain_rows(self) -> List[Row]:
         """Rows certain in both existence and value: some fragment has
         collapsed ranges and a lower multiplicity bound of at least one."""
-        return self.relation.certain_rows()
+        return [row for row, label in self._pairs if label.certain]
 
     def uncertain_rows(self) -> List[Row]:
         """Best-guess rows that are not fully certain."""
-        certain = set(self.certain_rows())
-        return [row for row, _ in self._pairs if row not in certain]
+        return [row for row, label in self._pairs if not label.certain]
 
     def bounded_rows(self) -> List[Tuple[Tuple, Tuple[int, int, int]]]:
         """All fragments as ``(range-row, (m_lb, m_bg, m_ub))`` pairs.
@@ -313,9 +312,10 @@ class PreparedPlan:
     plan: Optional[algebra.Operator] = None
     statement: Optional[Statement] = None
     parameters: Tuple[Parameter, ...] = ()
-    #: Statistics version the plan was optimized under; the cache treats a
-    #: mismatch as a miss so bulk INSERTs cannot pin a stale join order.
-    stats_version: int = 0
+    #: Data version a CREATE or INSERT entry was compiled under; the cache
+    #: treats a mismatch as a miss.  SELECT entries carry ``None``: no
+    #: write changes their plan, so they are never checked against it.
+    stats_version: Optional[int] = 0
     #: Logical result-column names, in output order; ``"attribute"``-mode
     #: plans need them to decode the canonical triple layout back into
     #: named ranges.
@@ -327,6 +327,10 @@ class PreparedPlan:
     #: output columns known collapsed (what EXPLAIN reports).
     range_joins: int = 0
     certain_columns: Tuple[str, ...] = ()
+    #: ``"attribute"``-mode plans: the certain map of the native attribute
+    #: tables the plan was rewritten under, its one data-dependent input;
+    #: the session recompiles once the map moves.
+    certain_map: Optional[Dict[str, FrozenSet[str]]] = None
 
 
 class Connection:
@@ -421,7 +425,7 @@ class Connection:
             self.plan_cache = PlanCache(cache_size)
         self._local_catalog_version = 0
         self._local_stats_version = 0
-        #: Table statistics feeding the cost-based optimizer; collected
+        #: Table statistics behind EXPLAIN's row estimates; collected
         #: from the *encoded* relations (whose columns are a superset of
         #: the logical ones), persisted in the store's ``uadb_stats`` table
         #: when one is attached.
@@ -526,7 +530,7 @@ class Connection:
         Returns ``(persisted, write's result)``.  On any failure the
         transaction rolls back and the exception propagates before the
         caller touches memory; statistics a failed commit may already have
-        folded are dropped, so the next compile recollects that table.  A
+        folded are dropped, so the next EXPLAIN recollects that table.  A
         store that refuses the values (:class:`UnstorableRelationError`)
         is fatal unless it was auto-enabled (``REPRO_STORE_DIR``): then the
         write degrades to memory, its statistics and version still
@@ -570,15 +574,14 @@ class Connection:
             self._local_catalog_version += 1
 
     def _bump_stats_version(self) -> None:
-        """Advance the statistics version (same precedence as the catalog's).
+        """Advance the data version (same precedence as the catalog's).
 
         Called after anything that changes the data -- INSERTs and
-        registrations.  It is the data version other readers go by: cached
-        plans (whose join order was chosen under the old sizes) and the
-        fleet's result cache die on it.  It invalidates nothing of the
-        writer's own: the store table, the statistics and the engine's
+        registrations.  The fleet's result cache and its version poll go by
+        it, and so do prepared CREATE and INSERT entries.  No SELECT plan
+        depends on it: the store table, the statistics and the engine's
         mirror were each advanced by the write itself, so the next read, in
-        either annotation mode, recompiles one plan and recollects nothing.
+        either annotation mode, is a plan-cache hit and recollects nothing.
         """
         if self.store is not None:
             self.store.bump_stats_version()
@@ -589,11 +592,13 @@ class Connection:
 
     @property
     def stats_version(self) -> int:
-        """Monotonic counter bumped whenever table statistics change.
+        """The data version: a monotonic counter bumped by every write.
 
-        Mirrors :attr:`catalog_version`'s precedence: the shared plan
-        cache's counter when one is shared, else the store's persisted
-        counter, else a connection-local one.
+        Statistics are no longer a plan input; the result cache and the
+        fleet's version poll read this counter.  Mirrors
+        :attr:`catalog_version`'s precedence: the shared plan cache's
+        counter when one is shared, else the store's persisted counter,
+        else a connection-local one.
         """
         if self.shared_cache:
             return self.plan_cache.stats_version
@@ -831,6 +836,10 @@ class Connection:
     def _entry(self, sql: str, mode: str) -> PreparedPlan:
         """The cached prepared plan for ``sql``; compiles on a miss.
 
+        A SELECT plan depends on the catalog alone, and in ``"attribute"``
+        mode on the certain map of the native attribute tables, so a write
+        leaves it cached: the next read is one probe.
+
         Compilation reads the catalogs, so it runs under the read lock: a
         pooled connection can never compile against catalogs that a
         concurrent registration (which holds the write lock while it
@@ -841,6 +850,9 @@ class Connection:
         with self._locking.read():
             entry = self.plan_cache.get(key, self.catalog_version,
                                         self.stats_version)
+            if entry is not None and entry.certain_map is not None \
+                    and entry.certain_map != self._certain_attributes():
+                entry = None  # an out-of-band mutation moved the map
             if entry is None:
                 entry = self._compile(sql, mode)
                 self.plan_cache.put(key, entry)
@@ -877,13 +889,15 @@ class Connection:
         if mode == "attribute":
             logical = translate(statement, self.attribute_catalog)
             optimize_catalog = self.encoded.schema
+            certain_map = dict(self._certain_attributes())
             rewrite = rewrite_attribute_plan(logical, optimize_catalog,
-                                             self._certain_attributes())
+                                             certain_map)
             plan = rewrite.plan
             described = {"output_names": rewrite.columns,
                          "output_widths": rewrite.widths,
                          "range_joins": rewrite.range_joins,
-                         "certain_columns": rewrite.certain_columns}
+                         "certain_columns": rewrite.certain_columns,
+                         "certain_map": certain_map}
         elif mode in ("rewritten", "direct"):
             catalog = self.catalog
             logical = translate(statement, catalog)
@@ -898,14 +912,12 @@ class Connection:
             raise SessionError(f"unknown compilation mode {mode!r}")
         parameters = plan_parameters(logical)
         if self._optimize_resolved():
-            # Recollect any relation mutated behind the session's back, so
-            # the join order is chosen from statistics matching the data;
-            # the session's own writes left theirs current.
-            self.stats.refresh(self.encoded)
-            plan = optimize_plan(plan, optimize_catalog, stats=self.stats)
+            # Rule passes only (folding, pushdown, pruning): joins keep their
+            # FROM order, which SQLite's planner reorders itself.
+            plan = optimize_plan(plan, optimize_catalog)
         return PreparedPlan(sql, "select", mode, self.catalog_version,
                             plan=plan, parameters=tuple(parameters),
-                            stats_version=self.stats_version, **described)
+                            stats_version=None, **described)
 
     def _check_tuple_level(self, plan: algebra.Operator) -> None:
         """Fail at compile time, with :meth:`_tuple_table`'s error, when
@@ -1016,9 +1028,9 @@ class Connection:
 
         Every parameter set is bound and validated up front, then the batch
         lands through a single :meth:`_apply_insert`: one store transaction,
-        one incremental statistics fold, one statistics-version bump --
-        instead of one of each per parameter set, which would invalidate
-        every sibling's plan/result cache N times for an N-row batch.
+        one incremental statistics fold, one data-version bump -- instead
+        of one of each per parameter set, which would invalidate every
+        sibling's result cache N times for an N-row batch.
         """
         statement: InsertStatement = entry.statement  # type: ignore[assignment]
         rows: List[Row] = []
@@ -1083,8 +1095,8 @@ class Connection:
                         self.store.save(encoded_relation)
                     self.store.append(encoded_relation,
                                       ((row, one) for row in encoded_rows))
-                # The data version other readers go by (cached plans, the
-                # fleet's result cache).
+                # The data version other readers go by (the fleet's result
+                # cache and version poll, prepared INSERTs).
                 self._bump_stats_version()
                 # Last: a failed statistics write is undone alone.
                 return (new_tuples is not None
@@ -1112,9 +1124,14 @@ class Connection:
     ])
 
     def _explain_report(self, entry: PreparedPlan) -> Dict[str, Any]:
-        """The structured EXPLAIN payload for an already-optimized plan."""
+        """The structured EXPLAIN payload for an already-optimized plan.
+
+        The estimates are the session's only read of its statistics, so
+        this is where any relation mutated behind the session's back is
+        recollected; the session's own writes left theirs current."""
         from repro.db import cost
 
+        self.stats.refresh(self.encoded)
         plan_lines = [
             {"depth": depth, "operator": describe, "estimated_rows": rows}
             for depth, describe, rows
@@ -1168,7 +1185,10 @@ class Connection:
         then returns a dictionary with the optimized ``plan`` (one entry per
         operator: ``depth``, ``operator``, ``estimated_rows``), the
         ``estimated_rows`` of the whole query and the ``engine`` it would
-        dispatch to.  In ``"attribute"`` mode it also reports
+        dispatch to.  The estimates read the session's statistics, which
+        are recollected here, and only here, for a table mutated behind the
+        session's back; the plan itself depends on none.  In
+        ``"attribute"`` mode it also reports
         ``range_joins`` -- how many joins still match on range overlap, which
         no engine can hash or index, because a key column holds an uncertain
         fragment -- ``certain_columns``, the result columns known collapsed
@@ -1209,7 +1229,7 @@ class Connection:
         open :class:`~repro.ingest.RowSource`, or any iterable of rows
         (sequences or column-name mappings).  Rows stream in batched
         chunks -- one store transaction, one statistics fold and one
-        statistics-version bump per *chunk*, never per row -- and a missing
+        data-version bump per *chunk*, never per row -- and a missing
         table is created from the inferred (or declared) schema.  Keyword
         options (``chunk_size``, ``create``, ``columns``, ``uncertainty``,
         ``format``, ...) are documented on :func:`repro.ingest.load`, which
@@ -1412,9 +1432,9 @@ class Cursor:
         :meth:`execute` (or a :class:`PreparedStatement`) for queries.
 
         INSERT batches apply as **one** transaction: a single store append,
-        statistics fold and statistics-version bump for the whole call --
-        not one per parameter set, which would recompile every cached plan
-        (and invalidate every sibling worker's result cache) N times.
+        statistics fold and data-version bump for the whole call -- not
+        one per parameter set, which would invalidate every sibling
+        worker's result cache N times.
         :attr:`rowcount` reports the total rows inserted across the batch.
         """
         self._check_open()
@@ -1580,7 +1600,7 @@ class PreparedStatement:
     def executemany(self, seq_of_params: Iterable[Params]) -> Union[List[UAQueryResult], int]:
         """Run once per parameter set: results for SELECTs, total count for DML.
 
-        INSERT batches land as one transaction with one statistics-version
+        INSERT batches land as one transaction with one data-version
         bump for the whole call (see :meth:`Cursor.executemany`).
         """
         if self._entry.kind == "select":

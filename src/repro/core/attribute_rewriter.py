@@ -592,11 +592,28 @@ def _rewrite_distinct(node: Distinct,
     aggregates.append(AggregateFunction("sum", Column(M_BG), "s_bg"))
     aggregates.append(AggregateFunction("sum", Column(M_UB), "s_ub"))
     grouped = Aggregate(child, group_by, tuple(aggregates))
+    # A hull wider than its certainly present collapsed member would hide
+    # that member's certainty: such a group also emits the member itself,
+    # (v, v, v) with m = (1, 1, 1), and the hull beside it is only possible.
+    # Columns known collapsed cannot widen a hull.
+    open_hull = [Not(_nullsafe_eq(Column(_vlb(i)), Column(_vub(i))))
+                 for i, col in enumerate(cols) if not col.certain]
+    split = And(_ge1(Column("s_cert")), Or(*open_hull)) if open_hull else None
     items = _value_items(count)
-    items.append((_when(_ge1(Column("s_cert")), _ONE, _ZERO), M_LB))
-    items.append((_when(_ge1(Column("s_bg")), _ONE, _ZERO), M_BG))
+    for flag, name in ((_ge1(Column("s_cert")), M_LB),
+                       (_ge1(Column("s_bg")), M_BG)):
+        branches = ((flag, _ONE),) if split is None else \
+            ((split, _ZERO), (flag, _ONE))
+        items.append((Case(branches, _ZERO), name))
     items.append((Column("s_ub"), M_UB))
-    return Projection(grouped, tuple(items)), cols
+    hull = Projection(grouped, tuple(items))
+    if split is None:
+        return hull, cols
+    member = [(Column(_val(i)), name) for i in range(count)
+              for name in (_val(i), _vlb(i), _vub(i))]
+    member += [(_ONE, M_LB), (_ONE, M_BG), (_ONE, M_UB)]
+    return Union(hull, Projection(Selection(grouped, split),
+                                  tuple(member))), cols
 
 
 # -- aggregation -------------------------------------------------------------

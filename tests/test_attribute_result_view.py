@@ -223,6 +223,26 @@ def test_only_relation_assembles_a_bounds_relation(monkeypatch):
     attribute.close()
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_certainty_accessors_read_the_labels(engine, monkeypatch):
+    """``certain_rows`` and ``uncertain_rows`` split the labelled rows; on a
+    session result neither assembles the bounds relation."""
+    conn = _connection(engine, _mixed_fragments())
+    sql = "SELECT k, x FROM u"
+    certain = conn.query_bounds(sql).relation.certain_rows()
+    assert certain == [(1, 0)]
+    assembled = []
+    assemble = AttributeBoundsRelation._from_fragments.__func__
+    monkeypatch.setattr(AttributeBoundsRelation, "_from_fragments",
+                        classmethod(lambda cls, *args: assembled.append(args)
+                                    or assemble(cls, *args)))
+    result = conn.query_bounds(sql)
+    assert result.certain_rows() == certain
+    assert result.uncertain_rows() == [(0, 2)]
+    assert assembled == []
+    conn.close()
+
+
 def _encoded(rows, names=("v0", "v0_lb", "v0_ub", "m_lb", "m_bg", "m_ub")):
     relation = KRelation(RelationSchema("answer", list(names)), NATURAL)
     for row in rows:

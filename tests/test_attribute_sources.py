@@ -127,8 +127,7 @@ def _check_source(source, relations, register_tuple_level) -> None:
                         engine, sql, answer)
                 ua = tuple_level.query(sql)
                 assert result.rows() == ua.rows(), (engine, sql)
-                if "DISTINCT" not in sql:
-                    assert set(ua.certain_rows()) <= set(certain), (engine, sql)
+                assert set(ua.certain_rows()) <= set(certain), (engine, sql)
 
 
 @settings(max_examples=20, deadline=None)

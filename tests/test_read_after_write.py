@@ -1,10 +1,11 @@
 """Read-after-write costs O(rows inserted), counted rather than timed.
 
 The session's own INSERT advances every mirror of the table it wrote --
-store table, statistics, the engine's in-memory mirror -- so the next
-read, in either annotation mode, recollects, reloads, decodes and encodes
-nothing, however many rows the store holds: attribute mode reads the same
-``Enc`` table, and derives no copy of it.  Only a mutation nobody reported
+store table, statistics, the engine's in-memory mirror -- and no SELECT
+plan depends on the data, so the next read, in either annotation mode,
+compiles, recollects, reloads, decodes and encodes nothing, however many
+rows the store holds: attribute mode reads the same ``Enc`` table, and
+derives no copy of it.  Only a mutation nobody reported
 (made on the relation object directly) is repaired by a rebuild, and only
 of the table it touched.
 """
@@ -15,7 +16,10 @@ import pytest
 
 import repro
 from repro.api import session as session_module
-from repro.core.attribute_bounds import AttributeBoundsRelation
+from repro.api.pool import ConnectionPool
+from repro.core.attribute_bounds import (
+    AttributeBoundsRelation, decode_attribute_relation,
+)
 from repro.core.uadb import UARelation
 from repro.db.engine.sqlite import SQLiteEngine
 from repro.db.relation import KRelation
@@ -156,12 +160,17 @@ def test_unreported_mutation_rebuilds_that_table_once(session):
     connection.encoded.relation("events").add(row + (1,))
     sql = "SELECT id, kind FROM events WHERE id = 400"
     assert len(_answer(connection, sql)) == 1
-    assert counters.collected == ["events"]
+    # The read rebuilds the engine's mirror; statistics have one reader,
+    # EXPLAIN, which recollects them.
+    assert counters.collected == []
     assert counters.table_loads == 1
     assert counters.encoded == counters.decoded == []
+    connection.explain(sql)
+    assert counters.collected == ["events"]
     counters.reset()
     # Repaired once: the next reads, and the next write, are back to free.
     assert len(_answer(connection, sql)) == 1
+    connection.explain(sql)
     connection.execute("INSERT INTO events VALUES (?, ?, ?)", [401, "new", 1])
     assert len(_answer(connection, params=[401])) == 1
     assert counters.collected == []
@@ -272,5 +281,88 @@ def test_insert_adds_each_row_once(engine, monkeypatch):
         assert added == [(1, 1, 1), (2, 2, 1), (2, 2, 1), (3, 3, 1)]
         assert connection.query("SELECT a FROM t").rows() \
             == [(1,), (2,), (3,)]
+    finally:
+        connection.close()
+
+
+def _counting_parses(monkeypatch) -> list:
+    parsed = []
+    parse = session_module.parse_statement
+    monkeypatch.setattr(session_module, "parse_statement",
+                        lambda sql: parsed.append(sql) or parse(sql))
+    return parsed
+
+
+def _insert_then_read(writer, reader, mode, monkeypatch, turns=20) -> None:
+    """After a warm-up, ``turns`` prepared INSERTs each followed by a read
+    of the new row parse once per INSERT and never for a read."""
+    writer.execute("CREATE TABLE events (id INT, kind STRING, v INT)")
+    writer.load("events", EVENTS)
+    insert = writer.prepare("INSERT INTO events VALUES (?, ?, ?)")
+    read = reader.prepare(READ, mode)
+    insert.execute([299_999, "warm", 0])
+    assert read.execute([299_999]).rows() == [(299_999, "warm", 0)]
+    parsed = _counting_parses(monkeypatch)
+    for key in range(1_000, 1_000 + turns):
+        insert.execute([key, "new", key % 100])
+        assert read.execute([key]).rows() == [(key, "new", key % 100)]
+        assert read.execute([key % 300]).rows() == [EVENTS[key % 300]]
+    assert len(parsed) == turns
+    assert set(parsed) == {"INSERT INTO events VALUES (?, ?, ?)"}
+
+
+@pytest.mark.parametrize("annotation", ["tuple", "attribute"])
+@pytest.mark.parametrize("engine", ["row", "columnar", "sqlite"])
+def test_a_read_after_a_write_compiles_nothing(engine, annotation, path,
+                                               monkeypatch):
+    """A SELECT plan depends on no statistics and no data version, so a
+    write leaves it cached: the read after it is one plan-cache probe."""
+    connection = _open(path, annotation, engine)
+    try:
+        _insert_then_read(connection, connection,
+                          "attribute" if annotation == "attribute"
+                          else "rewritten", monkeypatch)
+    finally:
+        connection.close()
+
+
+def test_a_pooled_read_after_a_pooled_write_compiles_nothing(path,
+                                                             monkeypatch):
+    """Two handles of one pool share one plan cache: one handle's write
+    leaves the other handle's read cached."""
+    pool = ConnectionPool(None if path is None else str(path),
+                          engine="sqlite", max_connections=2)
+    try:
+        with pool.connection() as writer, pool.connection() as reader:
+            _insert_then_read(writer, reader, "rewritten", monkeypatch)
+    finally:
+        pool.close()
+
+
+@pytest.mark.parametrize("engine", ["row", "columnar", "sqlite"])
+def test_a_moved_certain_map_recompiles_the_attribute_plan(engine):
+    """A cached range plan is compiled under the native tables' certain
+    map; a mutation that widens a range moves the map and recompiles it,
+    so the bounds keep covering every world."""
+    connection = repro.connect(engine=engine, annotation="attribute")
+    try:
+        r = AttributeBoundsRelation(RelationSchema("r", ["k"]))
+        r.add_row((1,))
+        r.add_row((2,))
+        connection.register_attribute_relation(r)
+        connection.execute("CREATE TABLE s (k INT)")
+        connection.execute("INSERT INTO s VALUES (5)")
+        sql = "SELECT s.k FROM r, s WHERE r.k = s.k"
+        assert connection.query_bounds(sql).bounded_rows() == []
+        # Behind the session's back: r's key may now be 4, 5 or 6.
+        connection.encoded.relation("r").add((4, 4, 6, 1, 1, 1))
+        expected = [(((5, 5, 5),), (0, 0, 1))]
+        assert connection.query_bounds(sql).bounded_rows() == expected
+        with repro.connect(engine=engine) as fresh:
+            fresh.register_attribute_relation(
+                decode_attribute_relation(connection.encoded.relation("r")))
+            fresh.execute("CREATE TABLE s (k INT)")
+            fresh.execute("INSERT INTO s VALUES (5)")
+            assert fresh.query_bounds(sql).bounded_rows() == expected
     finally:
         connection.close()

@@ -117,10 +117,12 @@ def _run(steps, path) -> None:
                 # Rows and statistics committed together: nothing to redo.
                 assert collected == []
             if not repaired:
-                # An unreported mutation is repaired by the next compile
-                # (a new statement text), and only there.
-                assert not connection.stats.fresh(connection.encoded.relation("t"))
+                # An unreported mutation is repaired by the statistics' one
+                # reader, EXPLAIN, and only there: a compile reads none.
+                relation = connection.encoded.relation("t")
                 connection.query(f"SELECT k FROM t WHERE k = {number}")
+                assert not connection.stats.fresh(relation)
+                connection.explain(f"SELECT k FROM t WHERE k = {number}")
             _assert_stats_equal_recount(connection)
     finally:
         connection.close()
@@ -216,7 +218,7 @@ def test_a_write_after_an_unreported_mutation_leaves_the_repair_to_refresh():
         # result would hide the row from every later refresh.
         connection.execute("INSERT INTO t VALUES (2)")
         assert not connection.stats.fresh(relation)
-        connection.query("SELECT k FROM t")
+        connection.explain("SELECT k FROM t")
         _assert_stats_equal_recount(connection)
         assert connection.stats.table_stats("t").row_count == 3
     finally:
